@@ -1,5 +1,4 @@
-// Micro-benchmarks: spatial index substrate (KD-tree, BVH, grid,
-// histogram).
+// Micro-benchmarks: spatial index substrate (KD-tree, grid, histogram).
 //
 // The *Scratch / *Many variants measure the allocation-free query engine
 // (QueryScratch + SoA leaf mirror, DESIGN §10) against the legacy
@@ -15,12 +14,10 @@
 
 #include "common/experiment.hpp"
 #include "data/twitter.hpp"
-#include "index/bvh.hpp"
 #include "index/cell_histogram.hpp"
 #include "index/grid.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
-#include "index/rtree.hpp"
 #include "obs/registry.hpp"
 #include "util/rng.hpp"
 
@@ -118,100 +115,6 @@ void BM_KDTreeCountEarlyExitScratch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KDTreeCountEarlyExitScratch)->Arg(4)->Arg(40)->Arg(400);
-
-void BM_BVHBuild(benchmark::State& state) {
-  const auto points = bench_points(state.range(0));
-  for (auto _ : state) {
-    index::BVH tree(points, index::BVHConfig{64, 0.0});
-    benchmark::DoNotOptimize(tree.leaves().data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BVHBuild)->Arg(10000)->Arg(100000);
-
-void BM_BVHRadiusQueryScratch(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::BVH tree(points, index::BVHConfig{64, 0.0});
-  index::QueryScratch scratch;
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    const auto neighbors =
-        tree.radius_query(points[cursor % points.size()], 0.1, scratch);
-    benchmark::DoNotOptimize(neighbors.data());
-    ++cursor;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BVHRadiusQueryScratch);
-
-void BM_BVHRadiusQueryMany(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::BVH tree(points, index::BVHConfig{64, 0.0});
-  index::QueryScratch scratch;
-  std::vector<std::uint32_t> queries(static_cast<std::size_t>(state.range(0)));
-  std::iota(queries.begin(), queries.end(), std::uint32_t{0});
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    tree.radius_query_many(
-        queries, 0.1, scratch,
-        [&](std::size_t, std::span<const std::uint32_t> neighbors,
-            std::uint64_t ops) { checksum += neighbors.size() + ops; });
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BVHRadiusQueryMany)->Arg(1024);
-
-void BM_BVHFusedForEachMany(benchmark::State& state) {
-  // The fused-traversal path the BVH engine feeds pass 2 with: callbacks
-  // fire inside the walk, no neighbor list is materialized (DESIGN §13).
-  const auto points = bench_points(100000);
-  index::BVH tree(points, index::BVHConfig{64, 0.0});
-  index::QueryScratch scratch;
-  std::vector<std::uint32_t> queries(static_cast<std::size_t>(state.range(0)));
-  std::iota(queries.begin(), queries.end(), std::uint32_t{0});
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    tree.for_each_in_radius_many(
-        queries, 0.1, scratch,
-        [&](std::size_t, std::uint32_t idx) { checksum += idx; },
-        [&](std::size_t, index::TraversalCost cost) {
-          checksum += cost.total();
-        });
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BVHFusedForEachMany)->Arg(1024);
-
-void BM_BVHCountEarlyExitScratch(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::BVH tree(points, index::BVHConfig{64, 0.0});
-  index::QueryScratch scratch;
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.count_in_radius(points[cursor % points.size()], 0.1, scratch,
-                             state.range(0)));
-    ++cursor;
-  }
-}
-BENCHMARK(BM_BVHCountEarlyExitScratch)->Arg(4)->Arg(40)->Arg(400);
-
-void BM_RTreeRadiusQueryScratch(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::RTree tree(points);
-  index::QueryScratch scratch;
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    const auto neighbors =
-        tree.radius_query(points[cursor % points.size()], 0.1, scratch);
-    benchmark::DoNotOptimize(neighbors.data());
-    ++cursor;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RTreeRadiusQueryScratch);
 
 void BM_GridBuild(benchmark::State& state) {
   const auto points = bench_points(state.range(0));

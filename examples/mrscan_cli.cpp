@@ -20,11 +20,6 @@
 //   --cluster-algo A  per-leaf cluster formulation: "two-pass" (default)
 //                     or "cell-graph" (DESIGN §12); both yield the same
 //                     clustering
-//   --index-backend B spatial index the per-leaf kernels traverse:
-//                     "kdtree" (default) or "bvh" (fused traversal,
-//                     DESIGN §13); both yield the same clustering. The
-//                     MRSCAN_INDEX_BACKEND environment override is
-//                     honoured as well.
 //   --keep-noise      include noise points (cluster id -1) in the output
 //   --demo N          instead of --input, generate N synthetic tweets
 //   --trace-out PATH  write a Chrome trace-event JSON of the run
@@ -94,7 +89,6 @@ namespace {
                "usage: %s --input PATH [--output PATH] [--eps F] "
                "[--minpts N] [--leaves N] [--partition-nodes N] "
                "[--host-threads N] [--cluster-algo two-pass|cell-graph] "
-               "[--index-backend kdtree|bvh] "
                "[--keep-noise] [--trace-out PATH] "
                "[--metrics-out PATH] "
                "[--ooc-dir PATH [--working-set N] [--resume] "
@@ -254,7 +248,6 @@ int main(int argc, char** argv) {
   bool keep_noise = false;
   std::uint64_t demo_points = 0;
   auto cluster_algo = cluster::ClusterAlgo::kTwoPass;
-  auto index_backend = index::Backend::kKdTree;
   std::string trace_out, metrics_out;
   core::OocOptions ooc;
   bool working_set_given = false;
@@ -285,11 +278,6 @@ int main(int argc, char** argv) {
       const auto parsed = cluster::parse_cluster_algo(value);
       if (!parsed) bad_value("--cluster-algo", value, "two-pass|cell-graph");
       cluster_algo = *parsed;
-    } else if (arg == "--index-backend") {
-      const char* value = next();
-      const auto parsed = index::parse_backend(value);
-      if (!parsed) bad_value("--index-backend", value, "kdtree|bvh");
-      index_backend = *parsed;
     } else if (arg == "--keep-noise") {
       keep_noise = true;
     } else if (arg == "--demo") {
@@ -388,7 +376,6 @@ int main(int argc, char** argv) {
   config.partition_nodes = partition_nodes;
   config.host_threads = host_threads;
   config.cluster_algo = cluster_algo;
-  config.index_backend = index_backend;
   config.keep_noise = keep_noise;
   config.ooc = ooc;
   if (!trace_out.empty() || !metrics_out.empty()) {

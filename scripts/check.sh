@@ -22,11 +22,16 @@
 #                         MRSCAN_BENCH_METRICS_DIR set; every emitted
 #                         BENCH_*.json is schema-validated by
 #                         tools/obs/check_obs_json.py --bench
-#   7. asan-ubsan preset  full suite under ASan+UBSan with
+#   7. e2e smoke          one traced bench/e2e/run.py pass per workload;
+#                         the e2e driver checks its output and count
+#                         digests against bench/e2e/expected.txt, so
+#                         labels, distance ops and simulated seconds
+#                         must stay unchanged
+#   8. asan-ubsan preset  full suite under ASan+UBSan with
 #                         MRSCAN_CHECK_INVARIANTS=ON and MRSCAN_WERROR=ON
-#   8. tsan preset        full suite (incl. the `stress`-labeled tests)
+#   9. tsan preset        full suite (incl. the `stress`-labeled tests)
 #                         under TSan, same options
-#   9. tidy preset        clang-tidy over every TU (skipped with a notice
+#  10. tidy preset        clang-tidy over every TU (skipped with a notice
 #                         when clang-tidy is not installed)
 #
 # Usage: scripts/check.sh [--quick] [--no-stress] [--coverage] [--jobs N]
@@ -164,16 +169,16 @@ run_step "ooc-smoke" ooc_smoke
 # this checks the machinery, not the numbers. (--benchmark_min_time takes
 # a plain double with this google-benchmark version, not "0.05s".)
 # The validated snapshots are copied to the repo root as the canonical
-# BENCH_*.json artifacts (committed, so index-backend regressions show up
-# in review diffs) — except BENCH_ooc_scale.json, whose committed copy
-# carries the full 8,192-leaf numbers from a dedicated bench_ooc run; the
-# smoke only validates that a tiny run still exports a clean file.
+# BENCH_*.json artifacts (committed, so KD-tree and pipeline regressions
+# show up in review diffs) — except BENCH_ooc_scale.json, whose committed
+# copy carries the full 8,192-leaf numbers from a dedicated bench_ooc run;
+# the smoke only validates that a tiny run still exports a clean file.
 bench_smoke() {
   local dir=build/bench_metrics
   rm -rf "$dir" && mkdir -p "$dir" \
     && env MRSCAN_BENCH_METRICS_DIR="$dir" \
          ./build/bench/bench_micro_index \
-         --benchmark_filter='BM_(KDTree|BVH)' --benchmark_min_time=0.05 \
+         --benchmark_filter='BM_KDTree' --benchmark_min_time=0.05 \
     && env MRSCAN_BENCH_METRICS_DIR="$dir" MRSCAN_BENCH_MICRO_POINTS=20000 \
          ./build/bench/bench_micro_pipeline \
          --benchmark_filter='BM_ClusterPhase(HostThreads|CellGraph)/1' \
@@ -193,9 +198,22 @@ bench_smoke() {
 }
 run_step "bench-smoke" bench_smoke
 
+# End-to-end smoke: one short traced run of the repository benchmark per
+# workload. The e2e driver exits non-zero when an output or count digest
+# differs from bench/e2e/expected.txt (it builds its own tree under
+# .bench_build/ on first use).
+e2e_smoke() {
+  local workload
+  for workload in twitter-16leaf sdss-1024leaf serve-20k; do
+    python3 bench/e2e/run.py --workload "$workload" --seed 0 --seconds 1 \
+      --trace 1 >/dev/null || return 1
+  done
+}
+run_step "e2e-smoke" e2e_smoke
+
 # Coverage gate: instrumented build + full suite, then the line-coverage
 # check over the GPGPU cluster phase, the cell-graph module and the
-# spatial index backends. Composes with --quick (the CI coverage job runs
+# spatial indexes. Composes with --quick (the CI coverage job runs
 # `--quick --coverage`).
 if [[ "$COVERAGE" -eq 1 ]]; then
   run_preset coverage

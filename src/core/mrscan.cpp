@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -102,7 +101,6 @@ std::vector<std::uint8_t> encode_gpu_stats(const gpu::GpuDbscanStats& s) {
   p.put_u64(s.cellgraph_wholesale_points);
   p.put_u64(s.cellgraph_bcp_pairs);
   p.put_u64(s.cellgraph_bcp_ops);
-  p.put_u64(s.bvh_node_steps);
   const auto bytes = p.bytes();
   return {bytes.begin(), bytes.end()};
 }
@@ -125,7 +123,6 @@ gpu::GpuDbscanStats decode_gpu_stats(std::vector<std::uint8_t> blob) {
   s.cellgraph_wholesale_points = static_cast<std::size_t>(r.get_u64());
   s.cellgraph_bcp_pairs = r.get_u64();
   s.cellgraph_bcp_ops = r.get_u64();
-  s.bvh_node_steps = r.get_u64();
   return s;
 }
 
@@ -134,7 +131,6 @@ gpu::GpuDbscanStats decode_gpu_stats(std::vector<std::uint8_t> blob) {
 /// are deliberately excluded — the determinism contract (DESIGN §8)
 /// makes output independent of both, so a resume may change them.
 std::uint64_t ooc_fingerprint(const MrScanConfig& config,
-                              index::Backend resolved_backend,
                               std::uint64_t point_count) {
   const std::uint64_t words[] = {
       point_count,
@@ -144,7 +140,6 @@ std::uint64_t ooc_fingerprint(const MrScanConfig& config,
       std::bit_cast<std::uint64_t>(config.params.eps),
       static_cast<std::uint64_t>(config.params.min_pts),
       static_cast<std::uint64_t>(config.cluster_algo),
-      static_cast<std::uint64_t>(resolved_backend),
       static_cast<std::uint64_t>(config.shadow_rep_threshold),
       static_cast<std::uint64_t>(config.transport),
       static_cast<std::uint64_t>(config.shadow_regions),
@@ -277,14 +272,6 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   gpu::MrScanGpuConfig gpu_config = config_.gpu;
   gpu_config.params = config_.params;
   gpu_config.cluster_algo = config_.cluster_algo;
-  gpu_config.index_backend = config_.index_backend;
-  // Environment overlay, the same treatment the obs options get: lets the
-  // differential battery and CI sweep the backend without config plumbing.
-  if (const char* env = std::getenv("MRSCAN_INDEX_BACKEND")) {
-    if (const auto parsed = index::parse_backend(env)) {
-      gpu_config.index_backend = *parsed;
-    }
-  }
 
   std::optional<fault::FaultInjector> injector;
   if (!config_.fault_plan.empty()) {
@@ -391,7 +378,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   // frontier. Merge state is a pure function of the leaf summaries, so
   // nothing else needs saving.
   const std::uint64_t fingerprint =
-      ooc_fingerprint(config_, gpu_config.index_backend, points.size());
+      ooc_fingerprint(config_, points.size());
   const std::filesystem::path checkpoint_path = ooc_dir / "checkpoint.mrck";
   std::vector<std::uint8_t> leaf_done(leaf_count, 0);
   const auto save_ooc_checkpoint = [&]() {
@@ -619,7 +606,6 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
             stats.cellgraph_wholesale_points);
     reg.add("cluster.cellgraph.bcp_pairs", stats.cellgraph_bcp_pairs);
     reg.add("cluster.cellgraph.bcp_ops", stats.cellgraph_bcp_ops);
-    reg.add("gpu.bvh.node_steps", stats.bvh_node_steps);
     reg.set_max("gpu.device_seconds_max", stats.device_seconds);
   }
   result.gpu_dbscan_seconds = reg.gauge_value("gpu.device_seconds_max");

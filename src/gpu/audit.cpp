@@ -10,9 +10,8 @@
 
 namespace mrscan::gpu {
 
-template <typename Tree>
-void audit_dense_boxes(const DenseBoxes& boxes, const Tree& tree, double eps,
-                       std::size_t min_pts) {
+void audit_dense_boxes(const DenseBoxes& boxes, const index::KDTree& tree,
+                       double eps, std::size_t min_pts) {
   MRSCAN_AUDIT_ASSERT_MSG(boxes.box_of_point.size() == tree.point_count(),
                           "box map does not cover the point set");
 
@@ -60,12 +59,5 @@ void audit_dense_boxes(const DenseBoxes& boxes, const Tree& tree, double eps,
   MRSCAN_AUDIT_ASSERT_MSG(mapped == covered,
                           "points mapped to boxes outside marked leaves");
 }
-
-template void audit_dense_boxes<index::KDTree>(const DenseBoxes&,
-                                               const index::KDTree&, double,
-                                               std::size_t);
-template void audit_dense_boxes<index::BVH>(const DenseBoxes&,
-                                            const index::BVH&, double,
-                                            std::size_t);
 
 }  // namespace mrscan::gpu

@@ -15,14 +15,11 @@
 #include <cstddef>
 
 #include "gpu/dense_box.hpp"
-#include "index/bvh.hpp"
 #include "index/kdtree.hpp"
 
 namespace mrscan::gpu {
 
-/// Instantiated for index::KDTree and index::BVH.
-template <typename Tree>
-void audit_dense_boxes(const DenseBoxes& boxes, const Tree& tree, double eps,
-                       std::size_t min_pts);
+void audit_dense_boxes(const DenseBoxes& boxes, const index::KDTree& tree,
+                       double eps, std::size_t min_pts);
 
 }  // namespace mrscan::gpu

@@ -6,8 +6,7 @@
 
 namespace mrscan::gpu {
 
-template <typename Tree>
-DenseBoxes detect_dense_boxes(const Tree& tree, double eps,
+DenseBoxes detect_dense_boxes(const index::KDTree& tree, double eps,
                               std::size_t min_pts) {
   MRSCAN_REQUIRE(eps > 0.0);
   MRSCAN_REQUIRE(min_pts >= 1);
@@ -34,10 +33,5 @@ DenseBoxes detect_dense_boxes(const Tree& tree, double eps,
   }
   return result;
 }
-
-template DenseBoxes detect_dense_boxes<index::KDTree>(const index::KDTree&,
-                                                      double, std::size_t);
-template DenseBoxes detect_dense_boxes<index::BVH>(const index::BVH&, double,
-                                                   std::size_t);
 
 }  // namespace mrscan::gpu

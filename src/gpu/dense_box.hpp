@@ -6,15 +6,13 @@
 // diagonal of at most Eps, so every pair of its points is mutually within
 // Eps; with at least MinPts points, every one of them is a core point —
 // membership is inferred, not computed. The sub-divisions come for free
-// from the region-leaf KD-tree (§3.2.1) — or from the BVH's Morton-run
-// leaves, which stop splitting under the same extent rule — so detection
-// is O(l) in the number of leaves for either backend.
+// from the region-leaf KD-tree (§3.2.1), so detection is O(l) in the
+// number of leaves.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "index/bvh.hpp"
 #include "index/kdtree.hpp"
 
 namespace mrscan::gpu {
@@ -40,10 +38,8 @@ struct DenseBoxes {
 };
 
 /// Scan the tree's leaves and mark dense boxes. Worst case O(l) plus O(p)
-/// to flag covered points. Instantiated for index::KDTree and index::BVH
-/// (both expose the region-leaf interface the scan reads).
-template <typename Tree>
-DenseBoxes detect_dense_boxes(const Tree& tree, double eps,
+/// to flag covered points.
+DenseBoxes detect_dense_boxes(const index::KDTree& tree, double eps,
                               std::size_t min_pts);
 
 }  // namespace mrscan::gpu

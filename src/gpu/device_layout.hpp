@@ -12,7 +12,6 @@
 
 #include "dbscan/labels.hpp"
 #include "geometry/point.hpp"
-#include "index/bvh.hpp"
 #include "index/kdtree.hpp"
 
 namespace mrscan::gpu {
@@ -39,17 +38,6 @@ static_assert(sizeof(geom::BBox) == 4 * sizeof(double),
               "BBox gained fields; revisit the device node layout");
 static_assert(kTreeNodeBytes <= sizeof(index::KDTree::Node),
               "device node record cannot exceed the host Node");
-
-/// H2D bytes per BVH node: the bounding box plus two child words (the
-/// leaf_id tag rides in a child word's spare bit on a real device, like
-/// the KD-tree's axis tag) — the same 40-byte record as a KD-tree node.
-inline constexpr std::uint64_t kBvhNodeBytes =
-    sizeof(index::BVH::Node::box) +
-    sizeof(index::BVH::Node::left) + sizeof(index::BVH::Node::right);
-static_assert(kBvhNodeBytes == 40,
-              "device BVH node record must stay bbox + two child words");
-static_assert(kBvhNodeBytes <= sizeof(index::BVH::Node),
-              "device BVH node record cannot exceed the host Node");
 
 /// D2H bytes per clustered point: the final cluster label.
 inline constexpr std::uint64_t kLabelBytes = sizeof(dbscan::ClusterId);

@@ -27,12 +27,6 @@ struct GpuDbscanStats {
   std::size_t cellgraph_wholesale_points = 0;  // points they cover
   std::uint64_t cellgraph_bcp_pairs = 0;  // cell pairs closest-pair-tested
   std::uint64_t cellgraph_bcp_ops = 0;    // distance ops those tests spent
-
-  // BVH backend only (mirrored as gpu.bvh.* metrics; zero on the KD-tree
-  // backend): nodes visited by the fused traversals. Each step is charged
-  // to the K20 cost model on top of the distance tests, so distance_ops
-  // includes them.
-  std::uint64_t bvh_node_steps = 0;
 };
 
 struct GpuDbscanResult {

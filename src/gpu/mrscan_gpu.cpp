@@ -11,8 +11,6 @@
 #include "geometry/bbox.hpp"
 #include "gpu/dense_box.hpp"
 #include "gpu/device_layout.hpp"
-#include "index/backend.hpp"
-#include "index/bvh.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
 #include "util/assert.hpp"
@@ -22,81 +20,6 @@ namespace mrscan::gpu {
 namespace {
 
 constexpr std::uint32_t kNoChain = 0xffffffffu;
-
-// ---- Traversal engines -------------------------------------------------
-//
-// One uniform surface over the two index backends so the two-pass and
-// cell-graph paths below are written once (DESIGN §13):
-//   * KdTreeEngine — the oracle shape: kernels materialize each neighbor
-//     span through the batched radius_query_many API and charge the cost
-//     model per distance test (the PR-5 accounting, unchanged).
-//   * BvhEngine — fused traversal after ArborX's FDBSCAN: the per-neighbor
-//     callback fires *inside* the tree walk, no neighbor list is ever
-//     built, and the charge is distance tests + visited nodes, so the
-//     simulated figures price the traversal itself, not just the leaf
-//     scans.
-// Both engines invoke callbacks in ascending query order with a
-// deterministic per-query neighbor order, so the union/classification
-// logic layered on top stays bit-identical for any host_threads — and the
-// final labels are backend-independent because core classification is
-// exact and cluster structure is a connectivity closure (see DESIGN §13
-// for the argument).
-
-struct KdTreeEngine {
-  const index::KDTree& tree;
-  index::QueryScratch& scratch;
-  std::uint64_t node_steps = 0;  // stays 0: this backend charges dist ops
-
-  /// fn(q, count, charge) per query, in order.
-  template <typename Fn>
-  void count_many(std::span<const std::uint32_t> wave, double eps,
-                  std::size_t at_least, Fn&& fn) {
-    tree.count_in_radius_many(wave, eps, at_least, scratch, fn);
-  }
-
-  /// visit(q, neighbor_idx) per neighbor, done(q, charge) per query.
-  template <typename Visit, typename Done>
-  void neighbors_many(std::span<const std::uint32_t> wave, double eps,
-                      Visit&& visit, Done&& done) {
-    tree.radius_query_many(
-        wave, eps, scratch,
-        [&](std::size_t q, std::span<const std::uint32_t> neighbors,
-            std::uint64_t ops) {
-          for (const std::uint32_t idx : neighbors) visit(q, idx);
-          done(q, ops);
-        });
-  }
-};
-
-struct BvhEngine {
-  const index::BVH& tree;
-  index::QueryScratch& scratch;
-  std::uint64_t node_steps = 0;  // fused-walk steps, for gpu.bvh.* stats
-
-  template <typename Fn>
-  void count_many(std::span<const std::uint32_t> wave, double eps,
-                  std::size_t at_least, Fn&& fn) {
-    for (std::size_t q = 0; q < wave.size(); ++q) {
-      std::uint64_t ops = 0;
-      std::uint64_t steps = 0;
-      const std::size_t found = tree.count_in_radius(
-          tree.point_at(wave[q]), eps, scratch, at_least, &ops, &steps);
-      node_steps += steps;
-      fn(q, found, ops + steps);
-    }
-  }
-
-  template <typename Visit, typename Done>
-  void neighbors_many(std::span<const std::uint32_t> wave, double eps,
-                      Visit&& visit, Done&& done) {
-    tree.for_each_in_radius_many(
-        wave, eps, scratch, visit,
-        [&](std::size_t q, index::TraversalCost cost) {
-          node_steps += cost.node_steps;
-          done(q, cost.total());
-        });
-  }
-};
 
 /// Connect dense boxes that are mutually Eps-reachable. Two dense boxes
 /// whose point sets contain an Eps-close pair belong to one cluster; since
@@ -108,8 +31,7 @@ struct BvhEngine {
 /// per block, round-robin) — charging everything to a single block made
 /// dense-box-heavy runs misreport the simulated kernel time, which is the
 /// max over blocks, not the sum.
-template <typename Tree>
-void connect_dense_boxes(const Tree& tree, const DenseBoxes& dense,
+void connect_dense_boxes(const index::KDTree& tree, const DenseBoxes& dense,
                          double eps, std::uint32_t block_count,
                          const std::vector<std::uint32_t>& box_chain,
                          cluster::UnionFind& chains, std::size_t& collisions,
@@ -189,18 +111,17 @@ void connect_dense_boxes(const Tree& tree, const DenseBoxes& dense,
   device.account_launch(block_ops);
 }
 
-/// Border pass, shared by both cluster paths and both backends: attach
-/// every non-core point to a neighbouring core's cluster (lowest core
-/// point *id* wins — a deterministic DBSCAN tie-break that is visit-order
-/// independent, which is what makes the fused walk safe here, and
+/// Border pass, shared by both cluster paths: attach every non-core point
+/// to a neighbouring core's cluster (lowest core point *id* wins — a
+/// deterministic DBSCAN tie-break that is visit-order independent and
 /// partition-invariant: leaf point arrays interleave owned and shadow
 /// points in a partition-dependent order, but ids are global, so every
 /// leaf that sees a border point's full Eps-neighbourhood resolves the
 /// same anchor. The serving path (src/serve) relies on this to reproduce
 /// batch labels without re-partitioning — DESIGN §14). One bulk-issued
 /// kernel.
-template <typename Engine>
-void attach_border_points(Engine& engine,
+void attach_border_points(const index::KDTree& tree,
+                          index::QueryScratch& scratch,
                           std::span<const geom::Point> points, double eps,
                           std::uint32_t block_count,
                           const std::vector<std::uint8_t>& core,
@@ -212,19 +133,19 @@ void attach_border_points(Engine& engine,
     if (!core[i]) border.push_back(i);
   }
   std::vector<std::uint64_t> block_ops(block_count, 0);
-  std::vector<std::uint32_t> best(border.size(), kNoChain);
-  engine.neighbors_many(
-      border, eps,
-      [&](std::size_t k, std::uint32_t q) {
-        if (core[q] &&
-            (best[k] == kNoChain || points[q].id < points[best[k]].id)) {
-          best[k] = q;
+  tree.radius_query_many(
+      border, eps, scratch,
+      [&](std::size_t k, std::span<const std::uint32_t> neighbors,
+          std::uint64_t ops) {
+        std::uint32_t best = kNoChain;
+        for (const std::uint32_t q : neighbors) {
+          if (core[q] && (best == kNoChain || points[q].id < points[best].id)) {
+            best = q;
+          }
         }
-      },
-      [&](std::size_t k, std::uint64_t charge) {
         // Round-robin block assignment, as the rr counter did.
-        block_ops[k % block_count] += charge;
-        if (best[k] != kNoChain) chain[border[k]] = chain[best[k]];
+        block_ops[k % block_count] += ops;
+        if (best != kNoChain) chain[border[k]] = chain[best];
       });
   device.account_launch(block_ops);
 }
@@ -266,10 +187,10 @@ void resolve_labels(const std::vector<std::uint32_t>& chain,
 /// Every distance computation is charged to the virtual device, and all
 /// cell iteration is in ascending cell-code order — deterministic for
 /// any host_threads (DESIGN §8).
-template <typename Engine>
 void cell_graph_dbscan(std::span<const geom::Point> points,
                        const MrScanGpuConfig& config, VirtualDevice& device,
-                       Engine& engine, GpuDbscanResult& result) {
+                       const index::KDTree& tree, index::QueryScratch& scratch,
+                       GpuDbscanResult& result) {
   const double eps = config.params.eps;
   const std::size_t min_pts = config.params.min_pts;
   const std::size_t n = points.size();
@@ -320,10 +241,10 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
       const auto wave =
           std::span<const std::uint32_t>(work).subspan(cursor, batch);
       block_ops.assign(config.block_count, 0);
-      engine.count_many(
-          wave, eps, min_pts,
-          [&](std::size_t q, std::size_t found, std::uint64_t charge) {
-            block_ops[q / config.points_per_block] += charge;
+      tree.count_in_radius_many(
+          wave, eps, min_pts, scratch,
+          [&](std::size_t q, std::size_t found, std::uint64_t ops) {
+            block_ops[q / config.points_per_block] += ops;
             if (found >= min_pts) result.labels.core[wave[q]] = 1;
           });
       device.account_launch(block_ops);
@@ -417,20 +338,17 @@ void cell_graph_dbscan(std::span<const geom::Point> points,
     device.account_launch(block_ops);
   }
 
-  attach_border_points(engine, points, eps, config.block_count,
+  attach_border_points(tree, scratch, points, eps, config.block_count,
                        result.labels.core, chain, device);
   resolve_labels(chain, chains, result, device);
 }
 
 /// The CUDA-DClust-style two-pass path (§3.2.2, §3.2.3): bulk-issued core
 /// classification, then per-core-point BFS wave expansion with the dense
-/// box elimination. Written once against the engine surface; on the BVH
-/// backend every classification count and expansion query is a fused
-/// traversal.
-template <typename Tree, typename Engine>
+/// box elimination.
 void two_pass_dbscan(std::span<const geom::Point> points,
                      const MrScanGpuConfig& config, VirtualDevice& device,
-                     const Tree& tree, Engine& engine,
+                     const index::KDTree& tree, index::QueryScratch& scratch,
                      GpuDbscanResult& result) {
   const std::size_t n = points.size();
 
@@ -483,12 +401,12 @@ void two_pass_dbscan(std::span<const geom::Point> points,
       const auto wave = std::span<const std::uint32_t>(work)
                             .subspan(cursor, batch);
       block_ops.assign(config.block_count, 0);
-      engine.count_many(
-          wave, config.params.eps, config.params.min_pts,
-          [&](std::size_t q, std::size_t found, std::uint64_t charge) {
+      tree.count_in_radius_many(
+          wave, config.params.eps, config.params.min_pts, scratch,
+          [&](std::size_t q, std::size_t found, std::uint64_t ops) {
             // Same work distribution as the per-block loop this replaces:
             // the first points_per_block queries belong to block 0, etc.
-            block_ops[q / config.points_per_block] += charge;
+            block_ops[q / config.points_per_block] += ops;
             if (found >= config.params.min_pts) {
               result.labels.core[wave[q]] = 1;
             }
@@ -540,22 +458,23 @@ void two_pass_dbscan(std::span<const geom::Point> points,
         queues[b].pop_front();
         wave_blocks.push_back(b);
       }
-      engine.neighbors_many(
-          wave_points, config.params.eps,
-          [&](std::size_t k, std::uint32_t q) {
+      tree.radius_query_many(
+          wave_points, config.params.eps, scratch,
+          [&](std::size_t k, std::span<const std::uint32_t> neighbors,
+              std::uint64_t ops) {
             const std::uint32_t p = wave_points[k];
-            if (q == p || !result.labels.core[q]) return;
             const std::uint32_t c = chain[p];
-            if (chain[q] == kNoChain) {
-              chain[q] = c;
-              queues[wave_blocks[k]].push_back(q);
-            } else if (!chains.same(c, chain[q])) {
-              chains.unite(c, chain[q]);
-              ++result.stats.collisions;
+            for (const std::uint32_t q : neighbors) {
+              if (q == p || !result.labels.core[q]) continue;
+              if (chain[q] == kNoChain) {
+                chain[q] = c;
+                queues[wave_blocks[k]].push_back(q);
+              } else if (!chains.same(c, chain[q])) {
+                chains.unite(c, chain[q]);
+                ++result.stats.collisions;
+              }
             }
-          },
-          [&](std::size_t k, std::uint64_t charge) {
-            block_ops[wave_blocks[k]] += charge;
+            block_ops[wave_blocks[k]] += ops;
           });
       device.account_launch(block_ops);
     }
@@ -568,22 +487,10 @@ void two_pass_dbscan(std::span<const geom::Point> points,
                         box_chain, chains, result.stats.collisions, device);
   }
 
-  attach_border_points(engine, points, config.params.eps,
+  attach_border_points(tree, scratch, points, config.params.eps,
                        config.block_count, result.labels.core, chain,
                        device);
   resolve_labels(chain, chains, result, device);
-}
-
-template <typename Tree, typename Engine>
-void run_cluster(std::span<const geom::Point> points,
-                 const MrScanGpuConfig& config, VirtualDevice& device,
-                 const Tree& tree, Engine& engine, GpuDbscanResult& result) {
-  if (config.cluster_algo == cluster::ClusterAlgo::kCellGraph) {
-    cell_graph_dbscan(points, config, device, engine, result);
-  } else {
-    two_pass_dbscan(points, config, device, tree, engine, result);
-  }
-  result.stats.bvh_node_steps = engine.node_steps;
 }
 
 }  // namespace
@@ -611,26 +518,19 @@ GpuDbscanResult mrscan_gpu_dbscan(std::span<const geom::Point> points,
   // stack and result buffer — zero allocations once warm (DESIGN §10).
   index::QueryScratch scratch;
 
-  // In dense areas both trees bottom out at dense-box-sized leaves, which
-  // is what lets the dense-box detector read its partition off either.
+  // In dense areas the tree bottoms out at dense-box-sized leaves, which
+  // is what lets the dense-box detector read its partition off it.
   const double leaf_extent =
       config.dense_box ? dense_box_side(config.params.eps) : 0.0;
+  const index::KDTree tree(
+      points, index::KDTreeConfig{config.max_leaf_points, leaf_extent});
 
-  // One H2D copy per backend: raw input points plus the traversal tree.
-  if (config.index_backend == index::Backend::kBvh) {
-    index::BVH tree(points,
-                    index::BVHConfig{config.max_leaf_points, leaf_extent});
-    device.copy_to_device(n * kPointBytes +
-                          tree.node_count() * kBvhNodeBytes);
-    BvhEngine engine{tree, scratch};
-    run_cluster(points, config, device, tree, engine, result);
+  // One H2D copy: raw input points plus the traversal tree.
+  device.copy_to_device(n * kPointBytes + tree.node_count() * kTreeNodeBytes);
+  if (config.cluster_algo == cluster::ClusterAlgo::kCellGraph) {
+    cell_graph_dbscan(points, config, device, tree, scratch, result);
   } else {
-    index::KDTree tree(
-        points, index::KDTreeConfig{config.max_leaf_points, leaf_extent});
-    device.copy_to_device(n * kPointBytes +
-                          tree.node_count() * kTreeNodeBytes);
-    KdTreeEngine engine{tree, scratch};
-    run_cluster(points, config, device, tree, engine, result);
+    two_pass_dbscan(points, config, device, tree, scratch, result);
   }
   delta.fill(result.stats);
   return result;

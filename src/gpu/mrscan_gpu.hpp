@@ -44,10 +44,7 @@ struct MrScanGpuConfig {
   /// (the oracle) or the cell-graph path (DESIGN §12). Both produce the
   /// same clustering; the differential battery proves it.
   cluster::ClusterAlgo cluster_algo = cluster::ClusterAlgo::kTwoPass;
-  /// Spatial index the kernels traverse: the region-leaf KD-tree (the
-  /// oracle, materializing neighbor spans) or the Morton-ordered BVH with
-  /// fused traversal and per-node-step cost charging (DESIGN §13). Both
-  /// produce the same clustering; the differential battery proves it.
+  /// Always the region-leaf KD-tree (see index/backend.hpp).
   index::Backend index_backend = index::Backend::kKdTree;
 };
 

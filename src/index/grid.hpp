@@ -94,7 +94,7 @@ class Grid {
   /// return them as a span, valid until the next query through `scratch`.
   /// Grid traversal needs no stack; the scratch supplies the reusable
   /// result buffer so the query path stays allocation-free once warm, the
-  /// same engine contract as KDTree / RTree / BVH.
+  /// same engine contract as KDTree.
   std::span<const std::uint32_t> radius_query(
       const geom::Point& p, double radius, QueryScratch& scratch,
       std::uint64_t* ops = nullptr) const {

@@ -27,12 +27,14 @@ mrnet::Packet MergeSummary::to_packet() const {
 MergeSummary MergeSummary::from_packet(const mrnet::Packet& packet) {
   MergeSummary summary;
   auto r = packet.reader();
-  const std::uint64_t n_clusters = r.get_u64();
-  summary.clusters.resize(n_clusters);
+  // Smallest encodings: a cluster is owned_points + a cell count; a cell
+  // is its code, the shadow flag and two empty vector counts.
+  constexpr std::size_t kMinClusterBytes = 8 + 8;
+  constexpr std::size_t kMinCellBytes = 8 + 1 + 8 + 8;
+  summary.clusters.resize(r.get_count(kMinClusterBytes));
   for (ClusterSummary& cluster : summary.clusters) {
     cluster.owned_points = r.get_u64();
-    const std::uint64_t n_cells = r.get_u64();
-    cluster.cells.resize(n_cells);
+    cluster.cells.resize(r.get_count(kMinCellBytes));
     for (CellSummary& cell : cluster.cells) {
       cell.cell_code = r.get_u64();
       cell.from_shadow = r.get_u8() != 0;

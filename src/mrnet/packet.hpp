@@ -94,8 +94,18 @@ class Packet {
       return v;
     }
 
-    std::string get_string() {
+    /// Read a u64 element count and check it against the bytes left,
+    /// given the smallest encoded size of one element, so a forged count
+    /// fails before anything is allocated for it.
+    std::uint64_t get_count(std::size_t min_element_bytes) {
       const std::uint64_t n = get_u64();
+      MRSCAN_REQUIRE_MSG(n <= remaining() / min_element_bytes,
+                         "packet count exceeds the bytes left");
+      return n;
+    }
+
+    std::string get_string() {
+      const std::uint64_t n = get_count(1);
       std::string s(n, '\0');
       get_raw(s.data(), n);
       return s;
@@ -104,7 +114,7 @@ class Packet {
     template <typename T>
     std::vector<T> get_pod_vector() {
       static_assert(std::is_trivially_copyable_v<T>);
-      const std::uint64_t n = get_u64();
+      const std::uint64_t n = get_count(sizeof(T));
       std::vector<T> v;
       if (n == 0) return v;
       v.resize(n);
@@ -117,8 +127,7 @@ class Packet {
 
    private:
     void get_raw(void* dst, std::size_t n) {
-      MRSCAN_REQUIRE_MSG(cursor_ + n <= packet_.bytes_.size(),
-                         "packet underrun");
+      MRSCAN_REQUIRE_MSG(n <= remaining(), "packet underrun");
       std::memcpy(dst, packet_.bytes_.data() + cursor_, n);
       cursor_ += n;
     }

@@ -89,9 +89,6 @@ inline constexpr const char* kGpuH2dTransfers = "gpu.h2d_transfers";
 inline constexpr const char* kGpuD2hTransfers = "gpu.d2h_transfers";
 inline constexpr const char* kGpuDeviceSecondsMax =
     "gpu.device_seconds_max";
-// BVH backend only: nodes visited by the fused traversals (charged to the
-// cost model on top of distance tests; zero on the KD-tree backend).
-inline constexpr const char* kGpuBvhNodeSteps = "gpu.bvh.node_steps";
 
 // ---- cell-graph cluster path (core, from gpu::GpuDbscanStats) -----
 inline constexpr const char* kClusterCellgraphCells =

@@ -26,7 +26,7 @@ mrnet::Packet pack_histogram(const index::CellHistogram& hist) {
 
 index::CellHistogram unpack_histogram(const mrnet::Packet& packet) {
   auto r = packet.reader();
-  const std::uint64_t n = r.get_u64();
+  const std::uint64_t n = r.get_count(8 + 8);  // (code, count) pairs
   std::vector<index::CellHistogram::Entry> entries;
   entries.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -294,14 +294,11 @@ TEST(Differential, ClusterAlgoSweepAcrossDatasetsStaysBitIdentical) {
 }
 
 TEST(Differential, IndexBackendSweepStaysBitIdentical) {
-  // DESIGN §13's backend-independence contract: the fused-traversal BVH
-  // and the KD-tree oracle must produce bit-identical output records on
-  // both cluster formulations at 1, 2 and 4 host workers. Neighbour visit
-  // order differs between the backends (KD-tree DFS vs BVH Morton
-  // preorder), so this passing is evidence the label rules really are
-  // order-independent. Simulated times are deliberately NOT compared
-  // across backends — the BVH charges per traversal step, so its virtual
-  // clock legitimately differs; only the clustering must not.
+  // The index_backend field survives as a one-value enum (index/backend.hpp)
+  // that callers still assign between configs. Selecting it explicitly, on
+  // the pipeline config and on the per-leaf GPU config, must produce output
+  // records bit-identical to a config that leaves both at their defaults,
+  // on both cluster formulations at 1, 2 and 4 host workers.
   struct Dataset {
     std::string name;
     mg::PointSet points;
@@ -331,51 +328,32 @@ TEST(Differential, IndexBackendSweepStaysBitIdentical) {
     auto base_cfg = make_config(ds.eps, ds.min_pts, 5, 4);
     base_cfg.host_threads = 1;
     base_cfg.cluster_algo = ClusterAlgo::kTwoPass;
-    base_cfg.index_backend = Backend::kKdTree;
     expect_matches_oracle(ds.points, base_cfg, ds.name + " baseline");
     const auto baseline = mc::MrScan(base_cfg).run(ds.points);
     const auto baseline_labels = baseline.labels_for(ds.points);
     ASSERT_GT(baseline.cluster_count, 0u) << ds.name;
 
-    for (const Backend backend : {Backend::kKdTree, Backend::kBvh}) {
-      for (const ClusterAlgo algo :
-           {ClusterAlgo::kTwoPass, ClusterAlgo::kCellGraph}) {
-        for (const std::size_t threads : {1UL, 2UL, 4UL}) {
-          auto cfg = base_cfg;
-          cfg.index_backend = backend;
-          cfg.cluster_algo = algo;
-          cfg.host_threads = threads;
-          const auto result = mc::MrScan(cfg).run(ds.points);
-          const std::string context =
-              ds.name + " backend " +
-              std::string(mrscan::index::to_string(backend)) + " algo " +
-              std::string(mrscan::cluster::to_string(algo)) + " threads " +
-              std::to_string(threads);
-          EXPECT_TRUE(result.output == baseline.output)
-              << context << ": output records differ";
-          EXPECT_EQ(result.cluster_count, baseline.cluster_count) << context;
-          EXPECT_TRUE(mrscan::test::same_clustering(
-              result.labels_for(ds.points), baseline_labels))
-              << context << ": clustering differs up to relabeling";
-        }
+    for (const ClusterAlgo algo :
+         {ClusterAlgo::kTwoPass, ClusterAlgo::kCellGraph}) {
+      for (const std::size_t threads : {1UL, 2UL, 4UL}) {
+        auto cfg = base_cfg;
+        cfg.index_backend = Backend::kKdTree;
+        cfg.gpu.index_backend = cfg.index_backend;
+        cfg.cluster_algo = algo;
+        cfg.host_threads = threads;
+        const auto result = mc::MrScan(cfg).run(ds.points);
+        const std::string context =
+            ds.name + " algo " +
+            std::string(mrscan::cluster::to_string(algo)) + " threads " +
+            std::to_string(threads);
+        EXPECT_TRUE(result.output == baseline.output)
+            << context << ": output records differ";
+        EXPECT_EQ(result.cluster_count, baseline.cluster_count) << context;
+        EXPECT_TRUE(mrscan::test::same_clustering(
+            result.labels_for(ds.points), baseline_labels))
+            << context << ": clustering differs up to relabeling";
       }
     }
-
-    // The BVH backend really ran its fused traversals: its runs report
-    // node steps, the KD-tree runs report none.
-    auto bvh_cfg = base_cfg;
-    bvh_cfg.index_backend = Backend::kBvh;
-    const auto bvh_run = mc::MrScan(bvh_cfg).run(ds.points);
-    std::uint64_t steps = 0;
-    for (const auto& stats : bvh_run.leaf_stats) {
-      steps += stats.bvh_node_steps;
-    }
-    EXPECT_GT(steps, 0u) << ds.name << ": BVH run charged no node steps";
-    std::uint64_t kd_steps = 0;
-    for (const auto& stats : baseline.leaf_stats) {
-      kd_steps += stats.bvh_node_steps;
-    }
-    EXPECT_EQ(kd_steps, 0u) << ds.name;
   }
 }
 

@@ -8,12 +8,10 @@
 
 #include "data/synthetic.hpp"
 #include "geometry/point.hpp"
-#include "index/bvh.hpp"
 #include "index/cell_histogram.hpp"
 #include "index/grid.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
-#include "index/rtree.hpp"
 #include "util/rng.hpp"
 
 namespace mg = mrscan::geom;
@@ -119,9 +117,9 @@ TEST(Grid, WideRadiusScansEnoughRings) {
 }
 
 TEST(Index, EveryBackendReportsNonZeroOps) {
-  // Cost-model parity (DESIGN §13): all four index backends answer the
-  // same query with ops accounting. A backend reporting zero ops would
-  // silently undercount the K20 cost model.
+  // Cost-model parity: the KD-tree and the Grid answer the same query with
+  // ops accounting. An index reporting zero ops would silently undercount
+  // the K20 cost model.
   const auto pts = random_points(800, 40);
   const double r = 0.9;
   const mg::Point q{0, 5.0, 5.0, 1.0f};
@@ -129,31 +127,20 @@ TEST(Index, EveryBackendReportsNonZeroOps) {
   ASSERT_GT(expect, 4u) << "query must hit enough points to be interesting";
 
   mi::KDTree kdtree(pts, mi::KDTreeConfig{16, 0.0});
-  mi::BVH bvh(pts, mi::BVHConfig{16, 0.0});
-  mi::RTree rtree(pts, mi::RTreeConfig{});
   mi::Grid grid(mg::GridGeometry{0.0, 0.0, r}, pts);
   mi::QueryScratch scratch;
 
-  std::uint64_t kd_ops = 0, bvh_ops = 0, bvh_steps = 0, rt_ops = 0,
-                grid_ops = 0;
+  std::uint64_t kd_ops = 0, grid_ops = 0;
   EXPECT_EQ(kdtree.count_in_radius(q, r, scratch, 0, &kd_ops), expect);
-  EXPECT_EQ(bvh.count_in_radius(q, r, scratch, 0, &bvh_ops, &bvh_steps),
-            expect);
-  EXPECT_EQ(rtree.count_in_radius(q, r, scratch, 0, &rt_ops), expect);
   EXPECT_EQ(grid.count_in_radius(q, r, 0, &grid_ops), expect);
 
   EXPECT_GT(kd_ops, 0u);
-  EXPECT_GT(bvh_ops, 0u);
-  EXPECT_GT(bvh_steps, 0u);
-  EXPECT_GT(rt_ops, 0u);
   EXPECT_GT(grid_ops, 0u);
-  // Every backend examined at least the points it returned.
+  // Every index examined at least the points it returned.
   EXPECT_GE(kd_ops, expect);
-  EXPECT_GE(bvh_ops, expect);
-  EXPECT_GE(rt_ops, expect);
   EXPECT_GE(grid_ops, expect);
 
-  // Early exit is monotone on every backend: a smaller at_least target can
+  // Early exit is monotone on every index: a smaller at_least target can
   // only examine fewer (or equally many) points.
   auto expect_monotone = [&](auto count_with) {
     std::uint64_t ops1 = 0, ops4 = 0, ops_all = 0;
@@ -166,12 +153,6 @@ TEST(Index, EveryBackendReportsNonZeroOps) {
   };
   expect_monotone([&](std::size_t at_least, std::uint64_t* ops) {
     kdtree.count_in_radius(q, r, scratch, at_least, ops);
-  });
-  expect_monotone([&](std::size_t at_least, std::uint64_t* ops) {
-    bvh.count_in_radius(q, r, scratch, at_least, ops);
-  });
-  expect_monotone([&](std::size_t at_least, std::uint64_t* ops) {
-    rtree.count_in_radius(q, r, scratch, at_least, ops);
   });
   expect_monotone([&](std::size_t at_least, std::uint64_t* ops) {
     grid.count_in_radius(q, r, at_least, ops);

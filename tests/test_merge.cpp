@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "dbscan/sequential.hpp"
@@ -35,6 +39,19 @@ mm::MergeSummary one_cluster(std::uint64_t cell_code, bool from_shadow,
   return s;
 }
 
+/// A forged count must fail as invalid_argument naming the count, before
+/// anything is allocated for it — not as bad_alloc, length_error or a
+/// late underrun after seconds of allocating.
+void expect_count_rejected(const std::function<void()>& decode) {
+  try {
+    decode();
+    ADD_FAILURE() << "forged count was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("count exceeds"), std::string::npos)
+        << e.what();
+  }
+}
+
 const mg::GridGeometry kGeom{0.0, 0.0, 1.0};
 constexpr double kEps = 1.0;
 
@@ -56,6 +73,41 @@ TEST(MergeSummary, PacketRoundTrip) {
             s.clusters[0].cells[0].noncore);
   EXPECT_TRUE(back.clusters[0].cells[0].from_shadow);
   EXPECT_FALSE(back.clusters[0].cells[1].from_shadow);
+}
+
+TEST(MergeSummary, ForgedCountsThrowBeforeAllocating) {
+  // Nine bytes claiming 2^40, then 2^26, clusters.
+  for (const std::uint64_t clusters : {1ULL << 40, 1ULL << 26}) {
+    mrscan::mrnet::Packet p;
+    p.put_u64(clusters);
+    p.put_u8(0);
+    expect_count_rejected([&] { mm::MergeSummary::from_packet(p); });
+  }
+  // One well-formed cell whose rep vector claims 2^61 elements (times the
+  // 24-byte record, that byte count wraps to zero).
+  mrscan::mrnet::Packet p;
+  p.put_u64(1);   // clusters
+  p.put_u64(10);  // owned points
+  p.put_u64(1);   // cells
+  p.put_u64(mg::cell_code(mg::CellKey{3, 4}));
+  p.put_u8(0);
+  p.put_u64(1ULL << 61);  // reps
+  p.put_u64(0);           // noncore
+  expect_count_rejected([&] { mm::MergeSummary::from_packet(p); });
+}
+
+TEST(PacketReader, ForgedCountsThrowBeforeAllocating) {
+  // A u64-max string length, and a 2^61-element u64 vector whose byte
+  // count wraps to zero.
+  mrscan::mrnet::Packet string_packet;
+  string_packet.put_u64(std::numeric_limits<std::uint64_t>::max());
+  string_packet.put_u8('x');
+  expect_count_rejected([&] { string_packet.reader().get_string(); });
+  mrscan::mrnet::Packet vector_packet;
+  vector_packet.put_u64(1ULL << 61);
+  vector_packet.put_u64(7);
+  expect_count_rejected(
+      [&] { vector_packet.reader().get_pod_vector<std::uint64_t>(); });
 }
 
 TEST(Merger, Type1CorePointOverlapMerges) {

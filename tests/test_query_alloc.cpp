@@ -1,6 +1,6 @@
 // Proof of the allocation-free query engine contract (DESIGN §10): once a
-// QueryScratch is warm, radius_query / count_in_radius / *_many on KDTree,
-// BVH, RTree, and Grid perform ZERO heap allocations. The whole binary runs
+// QueryScratch is warm, radius_query / count_in_radius / *_many on KDTree
+// and Grid perform ZERO heap allocations. The whole binary runs
 // under a counting global operator new, so any hidden allocation on the
 // steady-state path — a stack regrowth, a temporary vector, a span copy
 // gone wrong — shows up as a nonzero delta.
@@ -16,11 +16,9 @@
 
 #include "data/synthetic.hpp"
 #include "geometry/point.hpp"
-#include "index/bvh.hpp"
 #include "index/grid.hpp"
 #include "index/kdtree.hpp"
 #include "index/query_scratch.hpp"
-#include "index/rtree.hpp"
 
 namespace {
 
@@ -127,63 +125,6 @@ TEST(QueryAlloc, KDTreeSteadyStateIsAllocationFree) {
         queries, 0.4, 4, scratch,
         [&](std::size_t, std::size_t count, std::uint64_t ops) {
           checksum += count + ops;
-        });
-    checksum += tree.count_in_radius(pts[0], 0.4, scratch);
-    checksum += tree.radius_query(pts[1], 0.4, scratch).size();
-    return checksum;
-  });
-  EXPECT_EQ(delta, 0u);
-}
-
-TEST(QueryAlloc, BVHSteadyStateIsAllocationFree) {
-  const auto pts = test_points(4000, 25);
-  const mi::BVH tree(pts, mi::BVHConfig{24, 0.0});
-  const auto queries = all_indices(pts.size());
-  mi::QueryScratch scratch;
-
-  const std::uint64_t delta = steady_state_allocations([&] {
-    std::uint64_t checksum = 0;
-    tree.radius_query_many(
-        queries, 0.4, scratch,
-        [&](std::size_t, std::span<const std::uint32_t> neighbors,
-            std::uint64_t ops) {
-          checksum += neighbors.size() + ops;
-          for (const std::uint32_t nb : neighbors) checksum += nb;
-        });
-    tree.count_in_radius_many(
-        queries, 0.4, 4, scratch,
-        [&](std::size_t, std::size_t count, std::uint64_t ops) {
-          checksum += count + ops;
-        });
-    // The fused path must be allocation-free too — it is the hot loop of
-    // the BVH-backed kernels.
-    tree.for_each_in_radius_many(
-        queries, 0.4, scratch,
-        [&](std::size_t, std::uint32_t idx) { checksum += idx; },
-        [&](std::size_t, mi::TraversalCost cost) {
-          checksum += cost.total();
-        });
-    checksum += tree.count_in_radius(pts[0], 0.4, scratch);
-    checksum += tree.radius_query(pts[1], 0.4, scratch).size();
-    return checksum;
-  });
-  EXPECT_EQ(delta, 0u);
-}
-
-TEST(QueryAlloc, RTreeSteadyStateIsAllocationFree) {
-  const auto pts = test_points(3000, 22);
-  const mi::RTree tree(pts);
-  const auto queries = all_indices(pts.size());
-  mi::QueryScratch scratch;
-
-  const std::uint64_t delta = steady_state_allocations([&] {
-    std::uint64_t checksum = 0;
-    tree.radius_query_many(
-        queries, 0.4, scratch,
-        [&](std::size_t, std::span<const std::uint32_t> neighbors,
-            std::uint64_t ops) {
-          checksum += neighbors.size() + ops;
-          for (const std::uint32_t nb : neighbors) checksum += nb;
         });
     checksum += tree.count_in_radius(pts[0], 0.4, scratch);
     checksum += tree.radius_query(pts[1], 0.4, scratch).size();
