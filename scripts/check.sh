@@ -186,7 +186,7 @@ bench_smoke() {
     && env MRSCAN_BENCH_METRICS_DIR="$dir" MRSCAN_BENCH_SERVE_INITIAL=4000 \
          MRSCAN_BENCH_SERVE_MUTATIONS=64 \
          ./build/bench/bench_serve \
-         --benchmark_filter='BM_ServeEpoch/(8|64)$' \
+         --benchmark_filter='BM_ServeEpoch/(8|64)$|BM_ServeLive' \
          --benchmark_min_time=0.05 \
     && env MRSCAN_BENCH_METRICS_DIR="$dir" MRSCAN_BENCH_OOC_LEAVES=16 \
          MRSCAN_BENCH_OOC_POINTS_PER_LEAF=100 MRSCAN_BENCH_OOC_FAT_LEAVES=8 \

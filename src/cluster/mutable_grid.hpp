@@ -1,4 +1,4 @@
-// The mutable Eps/(2*sqrt(2)) cell grid backing the serving path
+// The mutable Eps/(2*sqrt(2)) cell graph backing the serving path
 // (DESIGN §14).
 //
 // Where cluster::CellGrid is a batch-built immutable snapshot, this grid
@@ -7,37 +7,107 @@
 // phase deterministic and exact:
 //   * cell side is cluster::cell_graph_side(eps) with the origin fixed at
 //     (0,0), so cell membership never shifts as points come and go;
-//   * cells are held in a std::map keyed by packed cell code and members
-//     are kept in ascending point-id order — every iteration surface is
-//     deterministic by construction (mrscan_analyze's unordered-iteration
-//     rule), and member order is stable across epochs because ids are
-//     global, not slot-dependent.
-// Members carry the owning service's slot index alongside the id so the
-// epoch machinery can reach point records without a second lookup.
+//   * members are kept in ascending point-id order, so every scan over a
+//     cell is deterministic and stable across epochs (ids are global,
+//     not slot-dependent).
+// Cells live in a flat array under a dense index, and each cell lists the
+// indices of its allocated ring-3 neighbours, so neighbourhood scans are
+// array reads. The code -> index hash map is consulted only when a cell
+// is allocated or released and is never iterated (mrscan_analyze's
+// unordered-iteration rule); every iteration surface is an index list the
+// caller sorts. An index stays valid while its cell is occupied, and an
+// emptied cell keeps its index until the owner release()s it, so the
+// owner can retire the cell's graph state first.
+//
+// Besides its members, each cell carries the cell-graph state the
+// service maintains across epochs: its core members, their fingerprint
+// and bounding box, and the cached BCP outcomes towards its ring-3
+// neighbours as two bitmasks over kRingOffsets. A parallel dense array
+// holds the connected component of each core cell.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
+#include "cluster/cell_grid.hpp"
+#include "geometry/bbox.hpp"
 #include "geometry/cell.hpp"
 #include "geometry/point.hpp"
 
 namespace mrscan::cluster {
 
+/// Cells within Chebyshev distance kCellGraphRings of a cell, excluding
+/// the cell itself: 48, one bit each in a 64-bit mask.
+inline constexpr int kRingCells =
+    (2 * kCellGraphRings + 1) * (2 * kCellGraphRings + 1) - 1;
+static_assert(kRingCells <= 64);
+
+/// The ring-3 offsets in geom::for_each_neighbor_within order (dy outer,
+/// dx inner). The order is point-symmetric, so the offset pointing back
+/// from neighbour k to the cell is kRingCells - 1 - k.
+inline constexpr std::array<geom::CellKey, kRingCells> kRingOffsets = [] {
+  std::array<geom::CellKey, kRingCells> offsets{};
+  int k = 0;
+  for (std::int32_t dy = -kCellGraphRings; dy <= kCellGraphRings; ++dy) {
+    for (std::int32_t dx = -kCellGraphRings; dx <= kCellGraphRings; ++dx) {
+      if (dx == 0 && dy == 0) continue;
+      offsets[k++] = geom::CellKey{dx, dy};
+    }
+  }
+  return offsets;
+}();
+
+inline constexpr int reverse_offset(int k) { return kRingCells - 1 - k; }
+
 class MutableCellGrid {
  public:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
   struct Member {
     geom::PointId id = 0;
     std::uint32_t slot = 0;
   };
 
-  MutableCellGrid() = default;
+  struct Cell {
+    std::uint64_t code = 0;
+    /// Index of the allocated cell at each ring offset, or kNone.
+    std::array<std::uint32_t, kRingCells> ring{};
+    /// Ascending point id; empty only between a removal that vacated the
+    /// cell and its release().
+    std::vector<Member> members;
+    /// Owner slots of the core members (ascending id), their box, and an
+    /// FNV fingerprint of their ids (meaningful when core_slots is not
+    /// empty). The cell is a core cell when core_slots is not empty.
+    std::vector<std::uint32_t> core_slots;
+    std::uint64_t core_fp = 0;
+    geom::BBox core_bbox;
+    /// Bit k: the BCP test towards the core cell at ring offset k is
+    /// cached (tested) and found a pair within Eps (linked).
+    std::uint64_t tested = 0;
+    std::uint64_t linked = 0;
+  };
+
   explicit MutableCellGrid(double side) : side_(side) {}
 
-  double side() const { return side_; }
+  /// Whether p lies in a cell whose whole ring-3 neighbourhood has int32
+  /// addresses: both coordinates finite and each cell index at least
+  /// kCellGraphRings inside the int32 range. Only such points may enter
+  /// the grid; key_of() is defined for them alone.
+  bool addressable(const geom::Point& p) const {
+    constexpr double kLo =
+        std::numeric_limits<std::int32_t>::min() + kCellGraphRings;
+    constexpr double kHi =
+        std::numeric_limits<std::int32_t>::max() - kCellGraphRings;
+    const double fx = std::floor(p.x / side_);
+    const double fy = std::floor(p.y / side_);
+    // NaN fails every comparison, so it is rejected here too.
+    return fx >= kLo && fx <= kHi && fy >= kLo && fy <= kHi;
+  }
 
   geom::CellKey key_of(const geom::Point& p) const {
     return geom::CellKey{
@@ -45,48 +115,59 @@ class MutableCellGrid {
         static_cast<std::int32_t>(std::floor(p.y / side_))};
   }
 
-  std::uint64_t code_of(const geom::Point& p) const {
-    return geom::cell_code(key_of(p));
+  /// Insert a member into the cell at `key` (allocating the cell when it
+  /// is new), keeping members sorted by point id. The id must not
+  /// already be present in the cell. Returns the cell index.
+  std::uint32_t insert(geom::CellKey key, geom::PointId id,
+                       std::uint32_t slot);
+
+  /// Remove the member with this id from cell `index`. A vacated cell
+  /// keeps its index until release().
+  void remove(std::uint32_t index, geom::PointId id);
+
+  /// Return a vacated cell's index to the free list. Its graph state must
+  /// already be retired (no core members, no cached edges, no component);
+  /// the next cell allocated at this index reuses its vectors' capacity.
+  void release(std::uint32_t index);
+
+  /// Index of the allocated ring-3 neighbour of cell `index` at offset k,
+  /// or kNone. A vacated-but-unreleased neighbour is allocated.
+  std::uint32_t neighbor(std::uint32_t index, int k) const {
+    return cells_[index].ring[k];
   }
 
-  /// Insert a member into its cell, keeping the cell's members sorted by
-  /// point id. The id must not already be present in the cell.
-  void insert(std::uint64_t code, geom::PointId id, std::uint32_t slot);
+  Cell& cell(std::uint32_t index) { return cells_[index]; }
+  const Cell& cell(std::uint32_t index) const { return cells_[index]; }
 
-  /// Remove the member with this id from the cell; empty cells are erased
-  /// so cell iteration never visits ghosts. Returns false when the id was
-  /// not present.
-  bool remove(std::uint64_t code, geom::PointId id);
-
-  /// Members of the cell with this code (ascending id order), or an empty
-  /// span when the cell is unoccupied.
-  std::span<const Member> members(std::uint64_t code) const {
-    const auto it = cells_.find(code);
-    if (it == cells_.end()) return {};
-    return it->second;
+  std::span<const Member> members(std::uint32_t index) const {
+    return cells_[index].members;
   }
 
-  bool occupied(std::uint64_t code) const { return cells_.contains(code); }
-
-  std::size_t cell_count() const { return cells_.size(); }
-
-  std::size_t point_count() const { return point_count_; }
-
-  /// Visit every occupied cell in ascending code order:
-  /// fn(code, span<const Member>).
-  template <typename Fn>
-  void for_each_cell(Fn&& fn) const {
-    for (const auto& [code, members] : cells_) {
-      fn(code, std::span<const Member>(members));
-    }
+  /// Connected component of a core cell, kNone otherwise. Held in its own
+  /// dense array rather than in Cell: the per-epoch label pass reads it
+  /// once per live point, in cell-random order.
+  std::uint32_t component(std::uint32_t index) const {
+    return components_[index];
   }
+  void set_component(std::uint32_t index, std::uint32_t component) {
+    components_[index] = component;
+  }
+
+  /// Allocated cells (occupied plus vacated-but-unreleased).
+  std::size_t cell_count() const { return index_.size(); }
 
  private:
+  struct CodeHash {
+    std::size_t operator()(std::uint64_t code) const {
+      return geom::CellKeyHash{}(geom::cell_from_code(code));
+    }
+  };
+
   double side_ = 1.0;
-  std::size_t point_count_ = 0;
-  // Ordered map: cell iteration is ascending-code deterministic, exactly
-  // like CellGrid's sorted cell array.
-  std::map<std::uint64_t, std::vector<Member>> cells_;
+  std::vector<Cell> cells_;
+  std::vector<std::uint32_t> components_;  // parallel to cells_
+  std::vector<std::uint32_t> free_;
+  std::unordered_map<std::uint64_t, std::uint32_t, CodeHash> index_;
 };
 
 }  // namespace mrscan::cluster

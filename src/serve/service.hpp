@@ -2,27 +2,32 @@
 //
 // Batch Mr. Scan answers one question once: "what are the clusters of
 // this file?". ClusterService keeps answering it as the data changes:
-// it owns a mutable Eps/(2*sqrt(2)) cell grid, absorbs insert/remove
+// it owns a mutable Eps/(2*sqrt(2)) cell graph, absorbs insert/remove
 // mutations into a pending buffer, and on advance_epoch() re-clusters
 // only the dirty cells plus their ring-3 neighbourhoods — the cell-graph
 // machinery of DESIGN §12 (wholesale core marking, BCP edge tests,
-// union-find over cells) rerun on the affected region only, with cached
-// cell-pair edges reused everywhere else. The epoch publishes an
-// immutable snapshot; queries (label_of, cluster_stats) pin the snapshot
-// of their choice under an epoch-based reclamation scheme, so readers
-// never block mutations and retired epochs are freed when their last
-// reader drains.
+// connectivity over cells) rerun on the affected region only. The epoch
+// publishes an immutable snapshot; queries (label_of, cluster_stats) pin
+// the snapshot of their choice under an epoch-based reclamation scheme,
+// so readers never block mutations and retired epochs are freed when
+// their last reader drains.
 //
 // Correctness contract: after every epoch, the published labels are
 // `same_clustering`-equivalent to a cold batch core::MrScan run over the
 // live point set (the differential battery proves it across cluster
-// algos, host_threads, and fault plans). The three pillars:
+// algos, host_threads, and fault plans), and bit-identical to a fresh
+// service bootstrapped on that live set. The three pillars:
 //   * core flags are exact — a mutation can only flip core status within
 //     Eps of itself, i.e. inside the dirty cell's ring-3 neighbourhood,
 //     which is exactly the recompute region;
-//   * cluster structure is a connectivity closure over cells, rebuilt
-//     each epoch from cached + freshly-tested BCP edges — edges are only
-//     invalidated when an endpoint cell's core membership changed;
+//   * cluster structure is the connectivity closure over core cells,
+//     kept across epochs: each cell caches its BCP outcomes towards its
+//     ring-3 neighbours as tested/linked bitmasks, and exactly the
+//     core-core pairs touching a cell whose core membership changed are
+//     re-tested. Each core cell carries a component id; a new link unions
+//     two components by relabelling the smaller, and a component is
+//     re-flooded over its cells' linked masks only when a previously
+//     linked pair tests unlinked or one of its core cells disappears;
 //   * border anchors use the global lowest-point-id tie-break that the
 //     batch border pass (gpu/mrscan_gpu.cpp) uses, which is partition-
 //     invariant, so serve and batch resolve identical anchors.
@@ -30,18 +35,16 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cluster/mutable_grid.hpp"
-#include "cluster/union_find.hpp"
 #include "dbscan/labels.hpp"
 #include "fault/injector.hpp"
 #include "geometry/bbox.hpp"
@@ -94,8 +97,9 @@ struct EpochStats {
   /// border points whose anchor was recomputed — the epoch's
   /// distance-level re-clustering footprint. Strictly below the live
   /// point count on sparse epochs (the incrementality the differential
-  /// battery asserts); label materialization is O(live) bookkeeping and
-  /// deliberately not counted.
+  /// battery asserts). Component upkeep is O(changed components) and the
+  /// snapshot copy is one O(live) sequential pass; neither does distance
+  /// work, so neither is counted.
   std::uint64_t recluster_points = 0;
   std::uint64_t distance_ops = 0;
   /// BCP cell-pair tests actually re-run (cache misses + invalidations).
@@ -145,8 +149,10 @@ class ClusterService {
   const ServeConfig& config() const { return config_; }
 
   /// Queue a mutation for the next epoch. Duplicates (insert of a live or
-  /// already-pending id, remove of an unknown id) are counted as rejected
-  /// when the epoch applies them.
+  /// already-pending id, remove of an unknown id) and inserts the grid
+  /// cannot address (a non-finite coordinate, or a cell index within
+  /// kCellGraphRings of the int32 limits) are counted as rejected when
+  /// the epoch applies them.
   void insert(const geom::Point& point);
   void remove(geom::PointId id);
 
@@ -200,13 +206,17 @@ class ClusterService {
   const obs::Registry& metrics() const { return registry_; }
 
  private:
+  using CellIndex = std::uint32_t;
+  static constexpr std::uint32_t kNone = cluster::MutableCellGrid::kNone;
+
   struct PointRec {
     geom::Point point;
-    std::uint64_t cell_code = 0;
+    CellIndex cell = 0;
+    /// Cell of the lowest-id core point within Eps (border points with
+    /// has_anchor only): the point takes that cell's component.
+    CellIndex anchor_cell = 0;
     bool live = false;
     bool core = false;
-    /// Lowest-id core point within Eps (border points only).
-    geom::PointId anchor = 0;
     bool has_anchor = false;
   };
 
@@ -223,13 +233,21 @@ class ClusterService {
     std::shared_ptr<const EpochSnapshot> snapshot;
     std::uint32_t pins = 0;
   };
+  using Retired = std::vector<std::shared_ptr<const EpochSnapshot>>;
 
-  std::uint64_t classify_core_cells(const std::set<std::uint64_t>& affected,
-                                    std::set<std::uint64_t>& changed_core);
-  std::uint64_t recompute_anchors(const std::set<std::uint64_t>& region);
-  std::shared_ptr<EpochSnapshot> materialize(EpochStats& stats);
+  std::vector<CellIndex> apply_pending(EpochStats& stats);
+  std::vector<CellIndex> occupied_neighborhoods(
+      std::span<const CellIndex> cells) const;
+  std::uint64_t classify_core_cells(std::span<const CellIndex> affected,
+                                    std::vector<CellIndex>& changed_core);
+  void connect(std::span<const CellIndex> changed_core, EpochStats& stats);
+  std::uint64_t recompute_anchors(std::span<const CellIndex> region);
+  std::uint32_t new_component();
+  void reflood(std::uint32_t component);
+  void unite(CellIndex a, CellIndex b);
+  std::shared_ptr<EpochSnapshot> emit_snapshot(EpochStats& stats) const;
   void publish(std::shared_ptr<const EpochSnapshot> snapshot);
-  void drain_retired_locked() const;
+  void drain_retired_locked(Retired& retired) const;
   void unpin(std::size_t serial) const;
 
   ServeConfig config_;
@@ -240,15 +258,16 @@ class ClusterService {
   // ---- clustering state (single-writer: mutations + epochs) ----
   std::vector<PointRec> slots_;
   std::vector<std::uint32_t> free_slots_;
-  /// Live id -> slot; the canonical ascending-id iteration surface.
-  std::map<geom::PointId, std::uint32_t> live_;
+  /// Live id -> slot, for applying mutations; never iterated.
+  std::unordered_map<geom::PointId, std::uint32_t> live_;
+  /// (id, slot) of every live point, ascending by id: the snapshot's
+  /// emission order.
+  std::vector<std::pair<geom::PointId, std::uint32_t>> order_;
   cluster::MutableCellGrid grid_;
-  /// Per-cell FNV fingerprint of the sorted core-member ids; a changed
-  /// fingerprint is what invalidates cached edges and anchors.
-  std::map<std::uint64_t, std::uint64_t> core_fp_;
-  /// Cached BCP outcomes keyed by ordered cell-code pair; entries are
-  /// dropped when either endpoint's core membership changes.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, bool> edges_;
+  /// Core cells of each connected component; ids of emptied components
+  /// wait in free_components_ for reuse.
+  std::vector<std::vector<CellIndex>> components_;
+  std::vector<std::uint32_t> free_components_;
   std::vector<Mutation> pending_;
   std::uint64_t epoch_ = 0;
   double sim_seconds_total_ = 0.0;

@@ -1,21 +1,28 @@
 // serve::ClusterService lifecycle: epoch edge cases (empty epoch,
 // delete-only epoch emptying a core cell, mutations whose effect lands in
-// a shadow ring of the dirty cell), fault-injected maintenance epochs,
-// epoch-based snapshot reclamation, and the seeded streaming workload
-// generator the service tests and bench share.
+// a shadow ring of the dirty cell, coordinates the grid cannot address),
+// incremental ≡ cold bootstrap after every epoch (streams and a bridge
+// that splits and re-merges a cluster), golden per-epoch counts,
+// fault-injected maintenance epochs, epoch-based snapshot reclamation,
+// and the seeded streaming workload generator the service tests and
+// bench share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "cluster/cell_grid.hpp"
 #include "cluster_equiv.hpp"
 #include "core/mrscan.hpp"
 #include "core/serve_state.hpp"
 #include "data/stream.hpp"
 #include "data/synthetic.hpp"
 #include "obs/names.hpp"
+#include "serve/script.hpp"
 #include "serve/service.hpp"
 
 namespace md = mrscan::data;
@@ -57,6 +64,39 @@ void expect_matches_batch(const ms::ClusterService& service,
   const auto batch = batch_labels(snapshot->points, service.config().params);
   EXPECT_TRUE(mrscan::test::same_clustering(snapshot->labels, batch))
       << context;
+}
+
+/// Incremental ≡ cold, bit for bit: the snapshot equals the one a fresh
+/// service publishes when bootstrapped on the same live set.
+void expect_matches_cold(const ms::ClusterService& service,
+                         const std::string& context) {
+  const auto snapshot = service.snapshot();
+  ms::ClusterService cold(service.config());
+  ASSERT_TRUE(cold.bootstrap(snapshot->points).ok) << context;
+  const auto reference = cold.snapshot();
+  ASSERT_EQ(snapshot->points, reference->points) << context;
+  ASSERT_EQ(snapshot->labels, reference->labels) << context;
+  ASSERT_EQ(snapshot->core, reference->core) << context;
+  ASSERT_EQ(snapshot->clusters.size(), reference->clusters.size()) << context;
+  for (std::size_t c = 0; c < snapshot->clusters.size(); ++c) {
+    const ms::ClusterStats& a = snapshot->clusters[c];
+    const ms::ClusterStats& b = reference->clusters[c];
+    EXPECT_EQ(a.size, b.size) << context << " cluster " << c;
+    EXPECT_EQ(a.core_points, b.core_points) << context << " cluster " << c;
+    EXPECT_EQ(a.weight, b.weight) << context << " cluster " << c;
+    EXPECT_EQ(a.bbox.min_x, b.bbox.min_x) << context << " cluster " << c;
+    EXPECT_EQ(a.bbox.min_y, b.bbox.min_y) << context << " cluster " << c;
+    EXPECT_EQ(a.bbox.max_x, b.bbox.max_x) << context << " cluster " << c;
+    EXPECT_EQ(a.bbox.max_y, b.bbox.max_y) << context << " cluster " << c;
+  }
+}
+
+void apply(ms::ClusterService& service, const md::Mutation& m) {
+  if (m.kind == md::Mutation::Kind::kInsert) {
+    service.insert(m.point);
+  } else {
+    service.remove(m.point.id);
+  }
 }
 
 }  // namespace
@@ -145,6 +185,218 @@ TEST(ServeLifecycle, RejectsDuplicateInsertAndUnknownRemove) {
   EXPECT_EQ(result.stats.rejected, 3u);
   EXPECT_EQ(service.live_points(), 3u);
   EXPECT_EQ(service.metrics().counter_value(names::kServeRejected), 3u);
+}
+
+TEST(ServeLifecycle, RejectsPointsTheGridCannotAddress) {
+  const double side = mrscan::cluster::cell_graph_side(1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ms::ClusterService service(make_config(1.0, 2));
+  ASSERT_TRUE(service.bootstrap(std::vector<mg::Point>{pt(0, 0.0, 0.0),
+                                                       pt(1, 0.3, 0.0)})
+                  .ok);
+  service.insert(pt(10, 1e300, 0.0));
+  service.insert(pt(11, 0.0, -1e300));
+  service.insert(pt(12, nan, 0.0));
+  service.insert(pt(13, 0.0, inf));
+  // Cell index 2^31 - 2: its ring-3 neighbourhood leaves int32.
+  service.insert(pt(14, side * 2147483646.0, 0.0));
+  service.remove(10);  // never became live
+  // Far away, but every ring-3 neighbour cell is addressable.
+  service.insert(pt(15, side * 2147483000.0, -side * 2147483000.0));
+  const auto result = service.advance_epoch();
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.stats.rejected, 6u);
+  EXPECT_EQ(result.stats.inserts, 1u);
+  EXPECT_EQ(service.live_points(), 3u);
+  EXPECT_FALSE(service.label_of(12).has_value());
+  EXPECT_EQ(service.label_of(15), mrscan::dbscan::kNoise);
+  EXPECT_EQ(service.label_of(0), service.label_of(1));
+  EXPECT_EQ(service.metrics().counter_value(names::kServeRejected), 6u);
+
+  service.remove(15);
+  ASSERT_TRUE(service.advance_epoch().ok);
+  expect_matches_batch(service, "after rejecting unaddressable points");
+  expect_matches_cold(service, "after rejecting unaddressable points");
+}
+
+TEST(ServeLifecycle, ScriptRejectsOutOfRangeCoordinates) {
+  ms::ClusterService service(make_config(1.0, 2));
+  std::istringstream in(
+      "insert 1 1e300 0\n"
+      "insert 2 0 -1e300\n"
+      "insert 3 0.1 0.1\n"
+      "insert 4 0.2 0.1\n"
+      "epoch\n"
+      "query 1\n"
+      "query 3\n");
+  std::ostringstream out;
+  const auto result = ms::run_script(service, in, out);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.epochs, 1u);
+  EXPECT_EQ(out.str(),
+            "epoch 1 ok points=2 clusters=1 dirty=1 recluster=2\n"
+            "query 1 -> unknown\n"
+            "query 3 -> 0\n");
+  EXPECT_EQ(service.metrics().counter_value(names::kServeRejected), 2u);
+}
+
+// ---- incremental ≡ cold ----
+
+TEST(ServeIncremental, EveryEpochMatchesColdBootstrap) {
+  struct Case {
+    const char* name;
+    md::StreamConfig stream;
+    mrscan::dbscan::DbscanParams params;
+  };
+  md::StreamConfig blobs;
+  blobs.distribution = md::StreamDistribution::kBlobs;
+  blobs.initial_points = 600;
+  blobs.mutations = 200;
+  md::StreamConfig twitter;
+  twitter.distribution = md::StreamDistribution::kTwitter;
+  twitter.initial_points = 400;
+  twitter.mutations = 200;
+  twitter.remove_fraction = 0.45;
+  twitter.seed = 42;
+  for (const Case& c : {Case{"blobs", blobs, {0.35, 6}},
+                        Case{"twitter", twitter, {0.05, 5}}}) {
+    const auto stream = md::generate_mutation_stream(c.stream);
+    ms::ClusterService service(make_config(c.params.eps, c.params.min_pts));
+    ASSERT_TRUE(service.bootstrap(stream.initial).ok);
+    expect_matches_cold(service, std::string(c.name) + " bootstrap");
+    // Epochs of 1, 2, 3, ... mutations, so single changes and bursts both
+    // occur.
+    std::size_t applied = 0;
+    for (std::size_t burst = 1; applied < stream.mutations.size(); ++burst) {
+      const std::size_t end =
+          std::min(applied + burst % 5 + 1, stream.mutations.size());
+      for (; applied < end; ++applied) {
+        apply(service, stream.mutations[applied]);
+      }
+      ASSERT_TRUE(service.advance_epoch().ok);
+      expect_matches_cold(service, std::string(c.name) + " after " +
+                                       std::to_string(applied) +
+                                       " mutations");
+    }
+  }
+}
+
+TEST(ServeIncremental, BridgeSplitsAndMergesAgain) {
+  // Two blobs joined by a chain of core points 0.3 apart along y = 0.1
+  // (Eps 1, MinPts 3, cells of side ~0.354, so chain point i lies in cell
+  // column floor(0.3 i / 0.354)).
+  ms::ClusterService service(make_config(1.0, 3));
+  std::vector<mg::Point> points;
+  mg::PointId next = 0;
+  for (int gx = 0; gx < 5; ++gx) {
+    for (int gy = 0; gy < 5; ++gy) {
+      points.push_back(pt(next++, -0.6 + 0.1 * gx, -0.1 + 0.1 * gy));
+      points.push_back(pt(next++, 9.2 + 0.1 * gx, -0.1 + 0.1 * gy));
+    }
+  }
+  const mg::PointId chain = next;
+  std::vector<mg::Point> chain_points;
+  for (int i = 0; i <= 30; ++i) {
+    chain_points.push_back(pt(chain + i, 0.3 * i, 0.1));
+  }
+  points.insert(points.end(), chain_points.begin(), chain_points.end());
+  ASSERT_TRUE(service.bootstrap(points).ok);
+  ASSERT_EQ(service.snapshot()->clusters.size(), 1u);
+
+  const auto check = [&](std::size_t clusters, const std::string& context) {
+    EXPECT_EQ(service.snapshot()->clusters.size(), clusters) << context;
+    expect_matches_batch(service, context);
+    expect_matches_cold(service, context);
+  };
+
+  // Cut the chain at x = 4.2, 4.5, 4.8. The cells holding 4.5 and 4.8
+  // (columns 12 and 13) lose their only core point and vanish; the cell
+  // of 3.9 and 4.2 (column 11) keeps 3.9 as a core point, so its pair
+  // with the cell of 5.1 (column 14) is re-tested and turns from linked
+  // (0.9 apart) to unlinked (1.2 apart).
+  for (const int i : {14, 15, 16}) service.remove(chain + i);
+  ASSERT_TRUE(service.advance_epoch().ok);
+  check(2, "after cutting the chain");
+  EXPECT_NE(service.label_of(0), service.label_of(1));
+
+  // Re-inserting the cut points links the halves again.
+  for (const int i : {14, 15, 16}) service.insert(chain_points[i]);
+  ASSERT_TRUE(service.advance_epoch().ok);
+  check(1, "after re-inserting the cut");
+
+  // Remove the whole chain, then bring it back point by point.
+  for (const auto& p : chain_points) service.remove(p.id);
+  ASSERT_TRUE(service.advance_epoch().ok);
+  check(2, "after removing the chain");
+  for (const auto& p : chain_points) {
+    service.insert(p);
+    ASSERT_TRUE(service.advance_epoch().ok);
+    // Chain point 28 (x = 8.4) is the first within Eps of the right blob.
+    const mg::PointId i = p.id - chain;
+    check(i >= 28 ? 1 : 2,
+          "after re-inserting chain point " + std::to_string(i));
+  }
+
+  // One epoch that re-inserts a removed id at a new position (keeping its
+  // slot) and reuses a slot freed within the epoch.
+  service.remove(chain);
+  service.insert(pt(chain, 0.05, 0.1));
+  service.insert(pt(next + 100, 5.0, 5.0));
+  service.remove(next + 100);
+  service.insert(pt(next + 101, 5.0, 5.1));
+  ASSERT_TRUE(service.advance_epoch().ok);
+  check(1, "after re-inserting an id within one epoch");
+}
+
+// ---- golden per-epoch counts ----
+
+TEST(ServeGolden, PerEpochCountsRepeatExactly) {
+  // Recorded before connectivity was kept across epochs: the scan orders
+  // (own cell first, then the ring-3 offsets, members ascending by id)
+  // and the BCP operand order fix these counts, so a slip in either
+  // changes them.
+  struct Counts {
+    std::uint64_t dirty_cells, recluster_points, distance_ops, edge_tests;
+  };
+  const std::vector<Counts> golden{
+      {2621, 3000, 15533, 4077}, {8, 100, 1203, 44}, {8, 52, 696, 0},
+      {8, 10, 18, 0},            {8, 175, 300, 0},   {8, 71, 873, 27},
+      {8, 54, 543, 26},          {8, 21, 98, 1},     {8, 302, 1801, 68},
+      {8, 77, 864, 6},           {8, 144, 333, 22},  {8, 15, 86, 7},
+      {8, 229, 896, 46},         {8, 13, 67, 17},    {8, 14, 59, 6},
+      {8, 20, 89, 0},            {8, 11, 23, 0},     {8, 65, 750, 44},
+      {8, 21, 128, 6},           {8, 20, 129, 21},   {8, 179, 375, 41},
+  };
+  md::StreamConfig config;
+  config.distribution = md::StreamDistribution::kTwitter;
+  config.initial_points = 3000;
+  config.mutations = 160;
+  config.seed = 7;
+  const auto stream = md::generate_mutation_stream(config);
+  ms::ClusterService service(make_config(0.05, 5));
+
+  std::vector<ms::EpochStats> epochs;
+  const auto record = [&](const ms::EpochResult& r) {
+    ASSERT_TRUE(r.ok);
+    epochs.push_back(r.stats);
+  };
+  record(service.bootstrap(stream.initial));
+  for (std::size_t i = 0; i < stream.mutations.size(); ++i) {
+    apply(service, stream.mutations[i]);
+    if ((i + 1) % 8 == 0) record(service.advance_epoch());
+  }
+  ASSERT_EQ(epochs.size(), golden.size());
+  for (std::size_t e = 0; e < golden.size(); ++e) {
+    EXPECT_EQ(epochs[e].dirty_cells, golden[e].dirty_cells) << "epoch " << e;
+    EXPECT_EQ(epochs[e].recluster_points, golden[e].recluster_points)
+        << "epoch " << e;
+    EXPECT_EQ(epochs[e].distance_ops, golden[e].distance_ops)
+        << "epoch " << e;
+    EXPECT_EQ(epochs[e].edge_tests, golden[e].edge_tests) << "epoch " << e;
+  }
+  EXPECT_EQ(service.snapshot()->clusters.size(), 44u);
+  EXPECT_EQ(service.live_points(), 3040u);
 }
 
 TEST(ServeFault, DroppedPublishRetriesThenSucceeds) {
@@ -256,15 +508,45 @@ TEST(ServeSnapshots, QueriesRunConcurrentlyWithEpochs) {
     }
   });
   for (const auto& m : stream.mutations) {
-    if (m.kind == md::Mutation::Kind::kInsert) {
-      service.insert(m.point);
-    } else {
-      service.remove(m.point.id);
-    }
+    apply(service, m);
     ASSERT_TRUE(service.advance_epoch().ok);
   }
   reader.join();
   expect_matches_batch(service, "after concurrent reads");
+}
+
+TEST(ServeQueries, LabelOfFindsEveryIdUnderAnySpacing) {
+  const mg::PointId far = std::numeric_limits<mg::PointId>::max();
+  std::vector<std::vector<mg::PointId>> layouts{
+      {7}, {0, far}, {far - 2, far - 1, far}};
+  std::vector<mg::PointId> dense, squares, two_runs;
+  for (mg::PointId i = 0; i < 1000; ++i) {
+    dense.push_back(i);
+    squares.push_back(i * i * i);
+    two_runs.push_back(i < 500 ? i : 1'000'000'000'000'000ULL + i);
+  }
+  layouts.push_back(dense);
+  layouts.push_back(squares);
+  layouts.push_back(two_runs);
+  for (const auto& ids : layouts) {
+    ms::EpochSnapshot snapshot;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      snapshot.points.push_back(pt(ids[i], 0.0, 0.0));
+      snapshot.labels.push_back(static_cast<mrscan::dbscan::ClusterId>(i));
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(snapshot.label_of(ids[i]),
+                static_cast<mrscan::dbscan::ClusterId>(i))
+          << "id " << ids[i];
+      for (const mg::PointId probe : {ids[i] - 1, ids[i] + 1}) {
+        if (!std::binary_search(ids.begin(), ids.end(), probe)) {
+          EXPECT_FALSE(snapshot.label_of(probe).has_value())
+              << "absent id " << probe;
+        }
+      }
+    }
+  }
+  EXPECT_FALSE(ms::EpochSnapshot{}.label_of(0).has_value());
 }
 
 TEST(ServeQueries, ClusterStatsAggregateTheSnapshot) {
@@ -383,13 +665,7 @@ TEST(MutationStream, BothDistributionsReplayThroughTheService) {
     ms::ClusterService service(
         make_config(dist == md::StreamDistribution::kBlobs ? 0.35 : 0.05, 4));
     ASSERT_TRUE(service.bootstrap(stream.initial).ok);
-    for (const auto& m : stream.mutations) {
-      if (m.kind == md::Mutation::Kind::kInsert) {
-        service.insert(m.point);
-      } else {
-        service.remove(m.point.id);
-      }
-    }
+    for (const auto& m : stream.mutations) apply(service, m);
     ASSERT_TRUE(service.advance_epoch().ok);
     expect_matches_batch(service, dist == md::StreamDistribution::kBlobs
                                       ? "blobs stream"
