@@ -126,35 +126,6 @@ void BM_GridBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GridBuild)->Arg(10000)->Arg(100000);
 
-void BM_GridRadiusQuery(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::Grid grid(geom::GridGeometry{-125.0, 24.0, 0.1}, points);
-  std::size_t cursor = 0;
-  std::size_t total = 0;
-  for (auto _ : state) {
-    grid.for_each_in_radius(points[cursor % points.size()], 0.1,
-                            [&](std::uint32_t) { ++total; });
-    ++cursor;
-  }
-  benchmark::DoNotOptimize(total);
-}
-BENCHMARK(BM_GridRadiusQuery);
-
-void BM_GridRadiusQueryScratch(benchmark::State& state) {
-  const auto points = bench_points(100000);
-  index::Grid grid(geom::GridGeometry{-125.0, 24.0, 0.1}, points);
-  index::QueryScratch scratch;
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    const auto neighbors =
-        grid.radius_query(points[cursor % points.size()], 0.1, scratch);
-    benchmark::DoNotOptimize(neighbors.data());
-    ++cursor;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GridRadiusQueryScratch);
-
 void BM_HistogramMerge(benchmark::State& state) {
   const geom::GridGeometry geometry{-125.0, 24.0, 0.1};
   const index::CellHistogram a(geometry, bench_points(50000));

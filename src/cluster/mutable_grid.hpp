@@ -1,10 +1,10 @@
 // The mutable Eps/(2*sqrt(2)) cell graph backing the serving path
 // (DESIGN §14).
 //
-// Where cluster::CellGrid is a batch-built immutable snapshot, this grid
-// lives for the whole service lifetime and absorbs per-epoch inserts and
-// removals. It keeps the CellGrid invariants that make the cell-graph
-// phase deterministic and exact:
+// Where the batch cell-graph path buckets a leaf once into an immutable
+// index::Grid, this grid lives for the whole service lifetime and absorbs
+// per-epoch inserts and removals. It keeps the invariants that make the
+// cell-graph phase deterministic and exact:
 //   * cell side is cluster::cell_graph_side(eps) with the origin fixed at
 //     (0,0), so cell membership never shifts as points come and go;
 //   * members are kept in ascending point-id order, so every scan over a
@@ -34,35 +34,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/cell_grid.hpp"
+#include "cluster/cell_graph_ops.hpp"
 #include "geometry/bbox.hpp"
 #include "geometry/cell.hpp"
 #include "geometry/point.hpp"
 
 namespace mrscan::cluster {
-
-/// Cells within Chebyshev distance kCellGraphRings of a cell, excluding
-/// the cell itself: 48, one bit each in a 64-bit mask.
-inline constexpr int kRingCells =
-    (2 * kCellGraphRings + 1) * (2 * kCellGraphRings + 1) - 1;
-static_assert(kRingCells <= 64);
-
-/// The ring-3 offsets in geom::for_each_neighbor_within order (dy outer,
-/// dx inner). The order is point-symmetric, so the offset pointing back
-/// from neighbour k to the cell is kRingCells - 1 - k.
-inline constexpr std::array<geom::CellKey, kRingCells> kRingOffsets = [] {
-  std::array<geom::CellKey, kRingCells> offsets{};
-  int k = 0;
-  for (std::int32_t dy = -kCellGraphRings; dy <= kCellGraphRings; ++dy) {
-    for (std::int32_t dx = -kCellGraphRings; dx <= kCellGraphRings; ++dx) {
-      if (dx == 0 && dy == 0) continue;
-      offsets[k++] = geom::CellKey{dx, dy};
-    }
-  }
-  return offsets;
-}();
-
-inline constexpr int reverse_offset(int k) { return kRingCells - 1 - k; }
 
 class MutableCellGrid {
  public:

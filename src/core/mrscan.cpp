@@ -22,6 +22,7 @@
 #include "mrnet/topology.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
+#include "util/fnv.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mrscan::core {
@@ -148,13 +149,8 @@ std::uint64_t ooc_fingerprint(const MrScanConfig& config,
       std::bit_cast<std::uint64_t>(config.rebalance_threshold),
       static_cast<std::uint64_t>(config.keep_noise),
   };
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint64_t w : words) {
-    for (std::size_t byte = 0; byte < 8; ++byte) {
-      hash ^= (w >> (8 * byte)) & 0xffULL;
-      hash *= 1099511628211ULL;
-    }
-  }
+  std::uint64_t hash = util::kFnvOffsetBasis;
+  for (const std::uint64_t w : words) hash = util::fnv1a_u64(w, hash);
   return hash;
 }
 

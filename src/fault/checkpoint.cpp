@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "io/checked_file.hpp"
+#include "util/fnv.hpp"
 
 namespace mrscan::fault {
 
@@ -17,15 +18,6 @@ void put_bytes(std::vector<std::uint8_t>& buf, const void* src,
                std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(src);
   buf.insert(buf.end(), p, p + n);
-}
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
 }
 
 void append_entry(std::vector<std::uint8_t>& buf,
@@ -42,7 +34,8 @@ void append_entry(std::vector<std::uint8_t>& buf,
       static_cast<std::uint32_t>(entry.summary.size());
   put_bytes(buf, &summary_len, 4);
   put_bytes(buf, entry.summary.data(), entry.summary.size());
-  const std::uint64_t checksum = fnv1a(buf.data() + begin, buf.size() - begin);
+  const std::uint64_t checksum =
+      util::fnv1a(buf.data() + begin, buf.size() - begin);
   put_bytes(buf, &checksum, 8);
 }
 
@@ -78,7 +71,7 @@ bool parse_entry(const std::vector<std::uint8_t>& bytes, std::size_t& cursor,
   cursor += summary_len;
   const std::size_t checksummed = cursor - begin;
   if (!get(&checksum, 8)) return false;
-  if (checksum != fnv1a(bytes.data() + begin, checksummed)) return false;
+  if (checksum != util::fnv1a(bytes.data() + begin, checksummed)) return false;
   if (out.rank >= manifest.total_leaves) return false;
   return true;
 }

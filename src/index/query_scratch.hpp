@@ -24,17 +24,11 @@
 namespace mrscan::index {
 
 struct QueryScratch {
-  /// Node ids still to visit (KD-tree / R-tree traversal).
+  /// Node ids still to visit (KD-tree traversal).
   std::vector<std::uint32_t> stack;
   /// Neighbor indices of the most recent collecting query. Valid until the
   /// next query through the same scratch.
   std::vector<std::uint32_t> results;
-
-  /// Pre-size both buffers so even the first query avoids reallocation.
-  void reserve(std::size_t stack_hint, std::size_t result_hint) {
-    stack.reserve(stack_hint);
-    results.reserve(result_hint);
-  }
 };
 
 }  // namespace mrscan::index

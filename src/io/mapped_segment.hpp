@@ -18,9 +18,15 @@
 #include <filesystem>
 
 #include "geometry/point.hpp"
-#include "io/segment_file.hpp"
 
 namespace mrscan::io {
+
+/// One leaf's partition in memory: its owned points, then the points of
+/// its shadow region (§3.1.1).
+struct Segment {
+  geom::PointSet owned;
+  geom::PointSet shadow;
+};
 
 /// Record counts of a per-leaf segment file (owned points first, then
 /// shadow-region points). The partition phase reports these for every

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/fnv.hpp"
 
 namespace mrscan::mrnet {
 
@@ -30,12 +31,7 @@ class Packet {
   /// retransmission path (delivering a moved-from or truncated copy) is
   /// caught at the wire rather than as a wrong clustering.
   std::uint64_t checksum() const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::uint8_t b : bytes_) {
-      h ^= b;
-      h *= 1099511628211ULL;
-    }
-    return h;
+    return util::fnv1a(bytes_.data(), bytes_.size());
   }
 
   // -- Writing (appends) --

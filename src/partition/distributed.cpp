@@ -111,6 +111,60 @@ void record_phase(obs::Recorder* recorder,
   mrnet::record_network_stats(*recorder, "partition", result.net_stats);
 }
 
+/// The phase steps real and model mode share: reduce the leaves'
+/// histogram packets to the root, plan there serially, broadcast the
+/// boundaries, let `write_output` produce the partitions (it returns
+/// their total point count, shadow copies included), then charge the
+/// I/O model, sum the phase's sim time and record it.
+template <typename WriteOutput>
+PartitionPhaseResult reduce_plan_and_write(
+    mrnet::Network& net, std::vector<mrnet::Packet> leaf_packets,
+    const geom::GridGeometry& geometry, std::uint64_t input_points,
+    const DistributedPartitionerConfig& config,
+    const sim::TitanParams& titan, WriteOutput&& write_output) {
+  PartitionPhaseResult result;
+  mrnet::Packet root_packet = net.reduce(
+      std::move(leaf_packets),
+      [](std::uint32_t, std::vector<mrnet::Packet> children,
+         std::uint64_t& ops) {
+        index::CellHistogram merged;
+        for (const auto& c : children) {
+          const index::CellHistogram h = unpack_histogram(c);
+          ops += h.cell_count();
+          merged.merge(h);
+        }
+        return pack_histogram(merged);
+      });
+  result.histogram_reduce_seconds = net.stats().last_op_seconds;
+
+  // ---- Root plans serially. ----
+  const index::CellHistogram hist = unpack_histogram(root_packet);
+  result.plan = plan_partitions(hist, geometry, config.planner);
+  // Deterministic cost model: the serial planner walks every cell a small
+  // constant number of times (packing + shadow + rebalance).
+  result.plan_seconds = static_cast<double>(hist.cell_count()) * 50.0 /
+                        titan.cpu_op_rate;
+
+  // ---- Boundaries broadcast back to the leaves. ----
+  result.broadcast_seconds =
+      net.multicast(pack_plan(result.plan),
+                    [](std::uint32_t, const mrnet::Packet&) {});
+
+  const std::uint64_t output_points = write_output(result);
+  fill_io_times(result, input_points * io::kBinaryRecordSize,
+                output_points * io::kBinaryRecordSize,
+                config.partition_nodes, result.plan.part_count(),
+                config.transport, titan);
+
+  result.net_stats = net.stats();
+  result.sim_seconds = result.read_seconds +
+                       result.histogram_reduce_seconds + result.plan_seconds +
+                       result.broadcast_seconds + result.write_seconds +
+                       result.send_seconds;
+  record_phase(config.recorder, result);
+  return result;
+}
+
 }  // namespace
 
 PartitionPhaseResult run_distributed_partitioner(
@@ -120,7 +174,6 @@ PartitionPhaseResult run_distributed_partitioner(
   MRSCAN_REQUIRE(config.partition_nodes >= 1);
   MRSCAN_REQUIRE(config.eps > 0.0);
 
-  PartitionPhaseResult result;
   const std::size_t workers = config.partition_nodes;
 
   // Grid origin: the data's lower-left corner. Cell size is Eps divided
@@ -156,65 +209,33 @@ PartitionPhaseResult run_distributed_partitioner(
     index::CellHistogram local(geometry, points.subspan(lo, hi - lo));
     leaf_packets[w] = pack_histogram(local);
   });
-  mrnet::Packet root_packet = net.reduce(
-      std::move(leaf_packets),
-      [](std::uint32_t, std::vector<mrnet::Packet> children,
-         std::uint64_t& ops) {
-        index::CellHistogram merged;
-        for (const auto& c : children) {
-          const index::CellHistogram h = unpack_histogram(c);
-          ops += h.cell_count();
-          merged.merge(h);
+
+  return reduce_plan_and_write(
+      net, std::move(leaf_packets), geometry, points.size(), config, titan,
+      [&](PartitionPhaseResult& result) {
+        // ---- Leaves materialise and write the segmented file. ----
+        const index::Grid grid(geometry, points);
+        if (config.spool_dir.empty()) {
+          result.segments = materialize_partitions(result.plan, grid, points,
+                                                   config.materialize);
+          result.segment_counts.reserve(result.segments.size());
+          for (const auto& seg : result.segments) {
+            result.segment_counts.push_back(
+                {seg.owned.size(), seg.shadow.size()});
+          }
+        } else {
+          // Out-of-core: spool each partition to its per-leaf segment
+          // file and keep only the counts resident (DESIGN §15).
+          result.segment_counts = materialize_partitions_to_files(
+              result.plan, grid, points, config.spool_dir, pool,
+              config.materialize);
         }
-        return pack_histogram(merged);
+        std::uint64_t output_points = 0;
+        for (const auto& counts : result.segment_counts) {
+          output_points += counts.total();
+        }
+        return output_points;
       });
-  result.histogram_reduce_seconds = net.stats().last_op_seconds;
-
-  // ---- Root plans serially. ----
-  const index::CellHistogram hist = unpack_histogram(root_packet);
-  result.plan = plan_partitions(hist, geometry, config.planner);
-  // Deterministic cost model: the serial planner walks every cell a small
-  // constant number of times (packing + shadow + rebalance).
-  result.plan_seconds = static_cast<double>(hist.cell_count()) * 50.0 /
-                        titan.cpu_op_rate;
-
-  // ---- Boundaries broadcast back to the leaves. ----
-  result.broadcast_seconds =
-      net.multicast(pack_plan(result.plan),
-                    [](std::uint32_t, const mrnet::Packet&) {});
-
-  // ---- Leaves materialise and write the segmented file. ----
-  const index::Grid grid(geometry, points);
-  if (config.spool_dir.empty()) {
-    result.segments = materialize_partitions(result.plan, grid, points,
-                                             config.materialize);
-    result.segment_counts.reserve(result.segments.size());
-    for (const auto& seg : result.segments) {
-      result.segment_counts.push_back({seg.owned.size(), seg.shadow.size()});
-    }
-  } else {
-    // Out-of-core: spool each partition to its per-leaf segment file and
-    // keep only the counts resident (DESIGN §15).
-    result.segment_counts = materialize_partitions_to_files(
-        result.plan, grid, points, config.spool_dir, pool,
-        config.materialize);
-  }
-
-  std::uint64_t output_points = 0;
-  for (const auto& counts : result.segment_counts) {
-    output_points += counts.total();
-  }
-  fill_io_times(result, points.size() * io::kBinaryRecordSize,
-                output_points * io::kBinaryRecordSize, workers,
-                result.plan.part_count(), config.transport, titan);
-
-  result.net_stats = net.stats();
-  result.sim_seconds = result.read_seconds +
-                       result.histogram_reduce_seconds + result.plan_seconds +
-                       result.broadcast_seconds + result.write_seconds +
-                       result.send_seconds;
-  record_phase(config.recorder, result);
-  return result;
 }
 
 PartitionPhaseResult run_distributed_partitioner_model(
@@ -223,7 +244,6 @@ PartitionPhaseResult run_distributed_partitioner_model(
     const DistributedPartitionerConfig& config,
     const sim::TitanParams& titan) {
   MRSCAN_REQUIRE(config.partition_nodes >= 1);
-  PartitionPhaseResult result;
   const std::size_t workers = config.partition_nodes;
 
   // Histogram reduce: model leaves holding equal shares of the cells.
@@ -245,42 +265,11 @@ PartitionPhaseResult run_distributed_partitioner_model(
           pack_histogram(index::CellHistogram(std::move(shares[i])));
     }
   }
-  mrnet::Packet root_packet = net.reduce(
-      std::move(leaf_packets),
-      [](std::uint32_t, std::vector<mrnet::Packet> children,
-         std::uint64_t& ops) {
-        index::CellHistogram merged;
-        for (const auto& c : children) {
-          const index::CellHistogram h = unpack_histogram(c);
-          ops += h.cell_count();
-          merged.merge(h);
-        }
-        return pack_histogram(merged);
+  return reduce_plan_and_write(
+      net, std::move(leaf_packets), geometry, virtual_point_count, config,
+      titan, [](const PartitionPhaseResult& result) {
+        return result.plan.total_points_with_shadow();
       });
-  result.histogram_reduce_seconds = net.stats().last_op_seconds;
-
-  const index::CellHistogram merged_hist = unpack_histogram(root_packet);
-  result.plan = plan_partitions(merged_hist, geometry, config.planner);
-  result.plan_seconds = static_cast<double>(merged_hist.cell_count()) *
-                        50.0 / titan.cpu_op_rate;
-
-  result.broadcast_seconds =
-      net.multicast(pack_plan(result.plan),
-                    [](std::uint32_t, const mrnet::Packet&) {});
-
-  const std::uint64_t output_points =
-      result.plan.total_points_with_shadow();
-  fill_io_times(result, virtual_point_count * io::kBinaryRecordSize,
-                output_points * io::kBinaryRecordSize, workers,
-                result.plan.part_count(), config.transport, titan);
-
-  result.net_stats = net.stats();
-  result.sim_seconds = result.read_seconds +
-                       result.histogram_reduce_seconds + result.plan_seconds +
-                       result.broadcast_seconds + result.write_seconds +
-                       result.send_seconds;
-  record_phase(config.recorder, result);
-  return result;
 }
 
 }  // namespace mrscan::partition

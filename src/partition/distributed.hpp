@@ -22,7 +22,6 @@
 
 #include "geometry/point.hpp"
 #include "io/mapped_segment.hpp"
-#include "io/segment_file.hpp"
 #include "mrnet/network.hpp"
 #include "obs/obs.hpp"
 #include "partition/materialize.hpp"

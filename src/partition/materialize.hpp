@@ -11,7 +11,6 @@
 
 #include "index/grid.hpp"
 #include "io/mapped_segment.hpp"
-#include "io/segment_file.hpp"
 #include "partition/plan.hpp"
 #include "sim/titan.hpp"
 #include "util/thread_pool.hpp"
@@ -53,12 +52,9 @@ std::vector<io::SegmentCounts> materialize_partitions_to_files(
 /// recovery: a single surviving sibling streams the dead leaf's segment
 /// back from the segmented partition file (§3.1.3's layout records each
 /// partition's offset, so the re-read is one contiguous stream). This
-/// PFS-backed restart is what makes leaf failure recoverable at all.
-double segment_reread_seconds(const io::Segment& segment,
-                              const sim::LustreParams& lustre);
-
-/// Counts-based overload for out-of-core runs, where the dead leaf's
-/// points are not resident; charges the identical model.
+/// PFS-backed restart is what makes leaf failure recoverable at all. Only
+/// the record counts are needed, so out-of-core runs, where the dead
+/// leaf's points are not resident, charge the identical model.
 double segment_reread_seconds(const io::SegmentCounts& counts,
                               const sim::LustreParams& lustre);
 

@@ -41,34 +41,6 @@ void PartitionPlan::reindex() {
   }
 }
 
-void PartitionPlan::rebuild_shadow(std::size_t part_idx,
-                                   const index::CellHistogram& hist) {
-  PartitionPart& part = parts[part_idx];
-  part.owned_points = 0;
-  for (const std::uint64_t code : part.owned_cells) {
-    part.owned_points += hist.count_of(geom::cell_from_code(code));
-  }
-
-  std::unordered_set<std::uint64_t> shadow;
-  for (const std::uint64_t code : part.owned_cells) {
-    geom::for_each_neighbor_within(
-        geom::cell_from_code(code), shadow_rings, [&](geom::CellKey nbr) {
-          const std::uint64_t ncode = geom::cell_code(nbr);
-          if (owner_of(ncode) == static_cast<std::uint32_t>(part_idx))
-            return;
-          if (hist.count_of(nbr) == 0) return;
-          shadow.insert(ncode);
-        });
-  }
-  // det-unordered-iter-ok: the cell list is sorted immediately below
-  part.shadow_cells.assign(shadow.begin(), shadow.end());
-  std::sort(part.shadow_cells.begin(), part.shadow_cells.end());
-  part.shadow_points = 0;
-  for (const std::uint64_t code : part.shadow_cells) {
-    part.shadow_points += hist.count_of(geom::cell_from_code(code));
-  }
-}
-
 void PartitionPlan::validate(const index::CellHistogram& hist) const {
   std::uint64_t owned_total = 0;
   std::unordered_set<std::uint64_t> seen;

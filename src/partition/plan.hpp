@@ -52,21 +52,16 @@ struct PartitionPlan {
   static constexpr std::uint32_t kUnowned = 0xffffffffu;
   std::uint32_t owner_of(std::uint64_t cell_code) const;
 
-  /// Recompute one part's shadow cell list and both point counts from the
-  /// histogram and current ownership (used during rebalancing).
-  void rebuild_shadow(std::size_t part_idx,
-                      const index::CellHistogram& hist);
-
   /// Validate internal consistency (each cell owned once; shadows disjoint
   /// from ownership; counts match the histogram). Throws on violation.
   void validate(const index::CellHistogram& hist) const;
 
-  /// Rebuild the cell -> owner map (call after manual edits).
-  void reindex();
-
  private:
   friend PartitionPlan make_plan(geom::GridGeometry,
                                  std::vector<PartitionPart>, std::int32_t);
+  /// Build the cell -> owner map from the parts' owned cells.
+  void reindex();
+
   std::vector<std::pair<std::uint64_t, std::uint32_t>> owner_;  // sorted
 };
 

@@ -5,10 +5,10 @@
 #include <bit>
 
 #include "cluster/cell_graph_ops.hpp"
-#include "cluster/cell_grid.hpp"
 #include "core/serve_state.hpp"
 #include "obs/names.hpp"
 #include "util/assert.hpp"
+#include "util/fnv.hpp"
 #include "util/timer.hpp"
 
 namespace mrscan::serve {
@@ -18,19 +18,6 @@ namespace {
 namespace names = obs::names;
 
 using cluster::kRingCells;
-
-// FNV-1a over the ascending core-member ids of a cell: a changed
-// fingerprint is how an epoch detects a core-membership change.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// The cells whose members lie within Eps reach of cell c's members: c
 /// first, then its occupied ring-3 neighbours in kRingOffsets order (the
@@ -417,11 +404,13 @@ std::uint64_t ClusterService::classify_core_cells(
     const std::uint64_t old_fp = cell.core_fp;
     cell.core_slots.clear();
     cell.core_bbox = geom::BBox{};
-    cell.core_fp = kFnvOffset;
+    // FNV-1a over the ascending core-member ids: a changed fingerprint
+    // is how an epoch detects a core-membership change.
+    cell.core_fp = util::kFnvOffsetBasis;
     for (const auto& member : cell.members) {
       const PointRec& rec = slots_[member.slot];
       if (!rec.core) continue;
-      cell.core_fp = fnv_step(cell.core_fp, member.id);
+      cell.core_fp = util::fnv1a_u64(member.id, cell.core_fp);
       cell.core_slots.push_back(member.slot);
       cell.core_bbox.expand(rec.point);
     }

@@ -1,26 +1,17 @@
-// Minimal leveled logging to stderr.
+// Error diagnostics to stderr.
 //
-// Kept deliberately simple: experiments are driven by bench binaries that
-// print their own tables; the logger is for diagnostics only and defaults
-// to Warn so test output stays clean.
+// Kept deliberately small: experiments are driven by bench binaries that
+// print their own tables; library code reports the rare failure it must
+// not throw (a failed observability export) through here, the one place
+// the printf family is allowed outside util/assert.
 #pragma once
 
 #include <string>
 
 namespace mrscan::util {
 
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
-
-/// Set the global threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Emit a message at `level` (thread-safe, single write per line).
-void log(LogLevel level, const std::string& msg);
-
-void log_debug(const std::string& msg);
-void log_info(const std::string& msg);
-void log_warn(const std::string& msg);
+/// Emit "[mrscan ERROR] msg" on stderr (thread-safe, single write per
+/// line).
 void log_error(const std::string& msg);
 
 }  // namespace mrscan::util

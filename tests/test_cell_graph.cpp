@@ -1,27 +1,35 @@
-// Cell-graph cluster path: UnionFind (promoted into src/cluster/),
-// CellGrid geometry, and adversarial property tests for the bichromatic
-// closest-pair (BCP) cell connection — the places the formulation could
-// silently diverge from DBSCAN (boundary inclusivity, duplicate mass,
-// degenerate grids, the cell-core rule's exact threshold).
+// Cell-graph cluster path: UnionFind (promoted into src/cluster/), the
+// cell-graph grid geometry (an index::Grid at side Eps/(2*sqrt(2))), and
+// adversarial property tests for the bichromatic closest-pair (BCP) cell
+// connection — the places the formulation could silently diverge from
+// DBSCAN (boundary inclusivity, duplicate mass, degenerate grids, the
+// cell-core rule's exact threshold).
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "cluster/cell_grid.hpp"
+#include "cluster/cell_graph_ops.hpp"
 #include "cluster/union_find.hpp"
 #include "cluster_equiv.hpp"
 #include "data/twitter.hpp"
 #include "dbscan/sequential.hpp"
 #include "gpu/device.hpp"
 #include "gpu/mrscan_gpu.hpp"
+#include "index/grid.hpp"
 #include "sweep/sweep.hpp"
 
 namespace mcl = mrscan::cluster;
 namespace md = mrscan::dbscan;
 namespace mg = mrscan::geom;
 namespace gpu = mrscan::gpu;
+namespace mi = mrscan::index;
 
 namespace {
+
+/// The grid the batch cell-graph path builds: origin fixed at (0,0).
+mi::Grid cell_graph_grid(const mg::PointSet& points, double side) {
+  return mi::Grid(mg::GridGeometry{0.0, 0.0, side}, points);
+}
 
 gpu::MrScanGpuConfig leaf_config(double eps, std::size_t min_pts,
                                  mcl::ClusterAlgo algo) {
@@ -116,7 +124,7 @@ TEST(UnionFind, ValidateAcceptsHeavilyUsedStructure) {
   SUCCEED();
 }
 
-// ---- CellGrid -------------------------------------------------------
+// ---- The cell-graph grid: an index::Grid with origin (0,0) ----------
 
 TEST(CellGrid, SideIsEpsOverTwoRootTwo) {
   const double side = mcl::cell_graph_side(1.0);
@@ -128,52 +136,60 @@ TEST(CellGrid, CellsSortedByCodeMembersByIndex) {
   // Deliberately scrambled input across three cells of side 1.
   const mg::PointSet pts{{0, 2.5, 0.5}, {1, 0.5, 0.5}, {2, 2.5, 0.5},
                          {3, 0.5, 2.5}, {4, 0.5, 0.5}};
-  const mcl::CellGrid grid(pts, 1.0);
-  const auto cells = grid.cells();
-  ASSERT_EQ(cells.size(), 3u);
-  for (std::size_t c = 1; c < cells.size(); ++c) {
-    EXPECT_LT(cells[c - 1].code, cells[c].code);
+  const mi::Grid grid = cell_graph_grid(pts, 1.0);
+  const auto codes = grid.codes();
+  ASSERT_EQ(grid.cell_count(), 3u);
+  for (std::size_t c = 1; c < codes.size(); ++c) {
+    EXPECT_LT(codes[c - 1], codes[c]);
   }
-  const auto members = grid.members();
-  for (const auto& cell : cells) {
-    for (std::uint32_t i = cell.begin + 1; i < cell.end; ++i) {
+  std::size_t total = 0;
+  for (std::uint32_t c = 0; c < grid.cell_count(); ++c) {
+    const auto members = grid.members(c);
+    total += members.size();
+    for (std::size_t i = 1; i < members.size(); ++i) {
       EXPECT_LT(members[i - 1], members[i]);
     }
-    for (std::uint32_t i = cell.begin; i < cell.end; ++i) {
-      EXPECT_EQ(grid.cell_of_point(members[i]),
-                static_cast<std::uint32_t>(&cell - cells.data()));
+    for (const std::uint32_t p : members) {
+      EXPECT_EQ(mg::cell_code(grid.geometry().cell_of(pts[p])), codes[c]);
     }
   }
-  EXPECT_EQ(grid.find(cells[0].code), 0u);
-  EXPECT_EQ(grid.find(0xdeadbeefULL << 32), mcl::CellGrid::kNoCell);
+  EXPECT_EQ(total, pts.size());
+  // Cell (0,0) holds points 1 and 4, in index order.
+  const std::uint32_t origin = grid.find(mg::cell_code(mg::CellKey{0, 0}));
+  ASSERT_NE(origin, mi::Grid::kNoCell);
+  EXPECT_EQ(std::vector<std::uint32_t>(grid.members(origin).begin(),
+                                       grid.members(origin).end()),
+            (std::vector<std::uint32_t>{1, 4}));
+}
+
+TEST(CellGrid, FindHitsOccupiedAndMissesEmptyCells) {
+  const mg::PointSet pts{{0, 0.5, 0.5}, {1, -1.5, 2.5}, {2, 3.5, -0.5}};
+  const mi::Grid grid = cell_graph_grid(pts, 1.0);
+  const auto codes = grid.codes();
+  for (std::uint32_t c = 0; c < grid.cell_count(); ++c) {
+    EXPECT_EQ(grid.find(codes[c]), c);
+  }
+  EXPECT_EQ(grid.find(mg::cell_code(mg::CellKey{-2, 2})),
+            grid.find(mg::cell_code(grid.geometry().cell_of(pts[1]))));
+  // Empty cells miss whether their code falls between the occupied
+  // codes or above them all.
+  EXPECT_EQ(grid.find(mg::cell_code(mg::CellKey{1, 0})), mi::Grid::kNoCell);
+  EXPECT_EQ(grid.find(mg::cell_code(mg::CellKey{-5, 0})), mi::Grid::kNoCell);
+  EXPECT_EQ(grid.find(mg::cell_code(mg::CellKey{-1, 0})), mi::Grid::kNoCell);
 }
 
 TEST(CellGrid, GridOriginIsAbsoluteNotPerPointSet) {
   // The same point must land in the same cell key regardless of what
   // other points exist — partition boundaries must not shift cells.
   const mg::Point p{0, 3.7, -1.2};
-  const mcl::CellGrid a(mg::PointSet{p}, 0.5);
-  const mcl::CellGrid b(mg::PointSet{{1, -100.0, 50.0}, p}, 0.5);
-  EXPECT_EQ(a.key_of(p).ix, b.key_of(p).ix);
-  EXPECT_EQ(a.key_of(p).iy, b.key_of(p).iy);
-  EXPECT_EQ(a.cells()[0].code, b.cells()[b.cell_of_point(1)].code);
-}
-
-TEST(CellGrid, BoxDist2OfNeighborAndGapCells) {
-  // Cells (0,0), (1,0), (2,0), (2,2) at side 1.
-  const mg::PointSet pts{
-      {0, 0.5, 0.5}, {1, 1.5, 0.5}, {2, 2.5, 0.5}, {3, 2.5, 2.5}};
-  const mcl::CellGrid grid(pts, 1.0);
-  const auto cells = grid.cells();
-  ASSERT_EQ(cells.size(), 4u);
-  const auto cell_at = [&](std::uint32_t point) {
-    return cells[grid.cell_of_point(point)];
-  };
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(0)), 0.0);
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(1)), 0.0);  // touch
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(2)), 1.0);
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(0), cell_at(3)), 2.0);  // diag
-  EXPECT_DOUBLE_EQ(grid.box_dist2(cell_at(3), cell_at(0)), 2.0);
+  const mi::Grid a = cell_graph_grid(mg::PointSet{p}, 0.5);
+  const mi::Grid b = cell_graph_grid(mg::PointSet{{1, -100.0, 50.0}, p}, 0.5);
+  EXPECT_EQ(a.geometry().cell_of(p), b.geometry().cell_of(p));
+  EXPECT_EQ(a.geometry().cell_of(p), (mg::CellKey{7, -3}));
+  const std::uint32_t in_b = b.find(a.codes()[0]);
+  ASSERT_NE(in_b, mi::Grid::kNoCell);
+  ASSERT_EQ(b.members(in_b).size(), 1u);
+  EXPECT_EQ(b.members(in_b)[0], 1u);
 }
 
 // ---- Adversarial BCP properties -------------------------------------
@@ -206,8 +222,7 @@ TEST(CellGraph, AxisAlignedCellsThreeApartStillConnect) {
     pts.push_back({i, 0.6 * side, 0.5 * side});
     pts.push_back({100 + i, 3.2 * side, 0.5 * side});
   }
-  const mcl::CellGrid grid(pts, side);
-  ASSERT_EQ(grid.cells().size(), 2u);  // the fixture really spans 2 cells
+  ASSERT_EQ(cell_graph_grid(pts, side).cell_count(), 2u);  // really 2 cells
   const auto result = expect_paths_identical(pts, eps, 5);
   expect_matches_sequential(pts, eps, 5, result);
   EXPECT_EQ(result.labels.cluster_count(), 1u);

@@ -19,7 +19,6 @@
 #include "io/labeled_file.hpp"
 #include "io/mapped_segment.hpp"
 #include "io/point_file.hpp"
-#include "io/segment_file.hpp"
 
 namespace mg = mrscan::geom;
 namespace mio = mrscan::io;
@@ -372,18 +371,4 @@ TEST_F(ReaderRegressionTest, RangeReadOverflowRejected) {
   EXPECT_THROW(mio::read_points_binary_range(path, 8, 3),
                std::runtime_error);
   EXPECT_EQ(mio::read_points_binary_range(path, 8, 2).size(), 2u);
-}
-
-TEST_F(ReaderRegressionTest, SegmentMetaCorruptCountRejected) {
-  // A metadata file whose header count exceeds what the file actually
-  // holds must fail with "truncated", not return garbage meta entries.
-  const auto base = dir_ / "seg";
-  std::vector<mio::Segment> segments(2);
-  segments[0].owned = sample_points(4, 1);
-  segments[1].owned = sample_points(6, 2);
-  mio::write_segmented(base, segments);
-  const auto meta_path = fs::path(base.string() + ".meta");
-  const auto full = fs::file_size(meta_path);
-  truncate_file(meta_path, full - 8);
-  EXPECT_THROW(mio::read_segment_meta(base), std::runtime_error);
 }

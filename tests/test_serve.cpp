@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/cell_grid.hpp"
+#include "cluster/cell_graph_ops.hpp"
 #include "cluster_equiv.hpp"
 #include "core/mrscan.hpp"
 #include "core/serve_state.hpp"

@@ -9,6 +9,7 @@
 
 #include "util/assert.hpp"
 #include "util/audit.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -148,6 +149,24 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_NE(v, orig);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+// ---- FNV-1a: the published 64-bit test vectors pin the offset basis
+// and the prime, so a truncated constant cannot hide. ----
+
+TEST(Fnv1a, MatchesStandardVectors) {
+  EXPECT_EQ(mu::fnv1a("", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(mu::fnv1a("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(mu::fnv1a("foobar", 6), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv1a, FoldsIncrementallyAndU64ByteOrderIsFixed) {
+  EXPECT_EQ(mu::fnv1a("bar", 3, mu::fnv1a("foo", 3)),
+            mu::fnv1a("foobar", 6));
+  const std::uint8_t le[8] = {0x01, 0x02, 0x03, 0x04,
+                              0x05, 0x06, 0x07, 0x08};
+  EXPECT_EQ(mu::fnv1a_u64(0x0807060504030201ULL),
+            mu::fnv1a(le, sizeof le));
 }
 
 TEST(PhaseTimer, AccumulatesNamedPhases) {
