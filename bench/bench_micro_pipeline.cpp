@@ -3,13 +3,17 @@
 // the host-threaded cluster phase (wall-clock speedup vs host_threads=1).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/experiment.hpp"
 #include "core/mrscan.hpp"
+#include "data/sdss.hpp"
 #include "data/twitter.hpp"
 #include "dbscan/sequential.hpp"
+#include "geometry/bbox.hpp"
 #include "gpu/dense_box.hpp"
 #include "index/cell_histogram.hpp"
 #include "merge/merger.hpp"
@@ -19,6 +23,17 @@
 namespace {
 
 using namespace mrscan;
+
+/// Median of the timed iterations' samples (mean of the middle two for
+/// an even count): one slow or fast iteration cannot move the export.
+double median(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1
+             ? samples[mid]
+             : 0.5 * (samples[mid - 1] + samples[mid]);
+}
 
 geom::PointSet bench_points(std::uint64_t n) {
   data::TwitterConfig config;
@@ -39,20 +54,53 @@ void BM_DenseBoxDetect(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseBoxDetect);
 
+// Serial planner cost, backward rebalancing included. Args: parts,
+// cell_refine, shape (0 = 200k Twitter-shaped points at Eps 0.1 and
+// MinPts 40; 1 = the e2e sdss-1024leaf input: 100k SDSS-shaped points
+// over (150, 10)-(160, 12) at the paper's Eps 0.00015 and MinPts 5).
 void BM_PartitionPlanning(benchmark::State& state) {
-  const auto points = bench_points(200000);
-  const geom::GridGeometry geometry{-125.0, 24.0, 0.1};
+  const auto parts = static_cast<std::size_t>(state.range(0));
+  const auto refine = static_cast<std::size_t>(state.range(1));
+  const bool sdss = state.range(2) == 1;
+  geom::PointSet points;
+  double eps = 0.1;
+  std::size_t min_pts = 40;
+  if (sdss) {
+    data::SdssConfig config;
+    config.num_points = 100000;
+    config.seed = 1;
+    config.window = geom::BBox{150.0, 10.0, 160.0, 12.0};
+    points = data::generate_sdss(config);
+    eps = 0.00015;
+    min_pts = 5;
+  } else {
+    points = bench_points(200000);
+  }
+  const geom::BBox box = geom::bbox_of(points);
+  const geom::GridGeometry geometry{box.min_x, box.min_y,
+                                    eps / static_cast<double>(refine)};
   const index::CellHistogram hist(geometry, points);
+  partition::PartitionerConfig config;
+  config.target_parts = parts;
+  config.min_pts = min_pts;
+  config.cell_refine = refine;
+  std::uint64_t moves = 0;
   for (auto _ : state) {
-    auto plan = partition::plan_partitions(
-        hist, geometry,
-        partition::PartitionerConfig{
-            static_cast<std::size_t>(state.range(0)), 40, true, 1.075});
+    auto plan = partition::plan_partitions(hist, geometry, config);
+    moves = plan.rebalance_moves;
     benchmark::DoNotOptimize(plan.part_count());
   }
-  state.SetLabel(std::to_string(hist.cell_count()) + " cells");
+  state.SetLabel(std::string(sdss ? "sdss, " : "twitter, ") +
+                 std::to_string(hist.cell_count()) + " cells, " +
+                 std::to_string(moves) + " moves");
 }
-BENCHMARK(BM_PartitionPlanning)->Arg(32)->Arg(256)->Arg(1024);
+BENCHMARK(BM_PartitionPlanning)
+    ->Args({32, 1, 0})
+    ->Args({256, 1, 0})
+    ->Args({1024, 1, 0})
+    ->Args({256, 2, 0})
+    ->Args({1024, 1, 1})
+    ->Unit(benchmark::kMillisecond);
 
 struct SummaryFixtureData {
   geom::PointSet points;
@@ -147,12 +195,12 @@ void BM_ClusterPhaseHostThreads(benchmark::State& state) {
   config.host_threads = static_cast<std::size_t>(state.range(0));
   const core::MrScan pipeline(config);
   std::size_t clusters = 0;
-  double cluster_phase_s = 0.0;
+  std::vector<double> cluster_phase_s;
   std::shared_ptr<obs::Recorder> recorder;
   for (auto _ : state) {
     const auto result = pipeline.run(points);
-    cluster_phase_s = result.wall.get("cluster");
-    state.SetIterationTime(cluster_phase_s);
+    cluster_phase_s.push_back(result.wall.get("cluster"));
+    state.SetIterationTime(cluster_phase_s.back());
     clusters = result.cluster_count;
     recorder = result.obs;
     benchmark::DoNotOptimize(clusters);
@@ -161,10 +209,11 @@ void BM_ClusterPhaseHostThreads(benchmark::State& state) {
                  " host thread(s), " + std::to_string(clusters) +
                  " clusters");
   // Export the last run's full pipeline metrics plus the bench.* gauges
-  // for the CI bench-smoke validator.
+  // for the CI bench-smoke validator; the phase time is the median over
+  // all timed iterations.
   if (recorder) {
     obs::Registry& reg = recorder->metrics();
-    reg.set("bench.cluster_phase_s", cluster_phase_s);
+    reg.set("bench.cluster_phase_s", median(cluster_phase_s));
     reg.add("bench.host_threads",
             static_cast<std::uint64_t>(state.range(0)));
     reg.add("bench.points", points.size());
@@ -195,12 +244,12 @@ void BM_ClusterPhaseCellGraph(benchmark::State& state) {
   config.cluster_algo = cluster::ClusterAlgo::kCellGraph;
   const core::MrScan pipeline(config);
   std::size_t clusters = 0;
-  double cluster_phase_s = 0.0;
+  std::vector<double> cluster_phase_s;
   std::shared_ptr<obs::Recorder> recorder;
   for (auto _ : state) {
     const auto result = pipeline.run(points);
-    cluster_phase_s = result.wall.get("cluster");
-    state.SetIterationTime(cluster_phase_s);
+    cluster_phase_s.push_back(result.wall.get("cluster"));
+    state.SetIterationTime(cluster_phase_s.back());
     clusters = result.cluster_count;
     recorder = result.obs;
     benchmark::DoNotOptimize(clusters);
@@ -210,7 +259,7 @@ void BM_ClusterPhaseCellGraph(benchmark::State& state) {
                  std::to_string(clusters) + " clusters");
   if (recorder) {
     obs::Registry& reg = recorder->metrics();
-    reg.set("bench.cluster_phase_s", cluster_phase_s);
+    reg.set("bench.cluster_phase_s", median(cluster_phase_s));
     reg.add("bench.host_threads",
             static_cast<std::uint64_t>(state.range(0)));
     reg.add("bench.points", points.size());

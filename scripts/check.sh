@@ -181,7 +181,7 @@ bench_smoke() {
          --benchmark_filter='BM_KDTree' --benchmark_min_time=0.05 \
     && env MRSCAN_BENCH_METRICS_DIR="$dir" MRSCAN_BENCH_MICRO_POINTS=20000 \
          ./build/bench/bench_micro_pipeline \
-         --benchmark_filter='BM_ClusterPhase(HostThreads|CellGraph)/1' \
+         --benchmark_filter='BM_ClusterPhase(HostThreads|CellGraph)/1|BM_PartitionPlanning' \
          --benchmark_min_time=0.05 \
     && env MRSCAN_BENCH_METRICS_DIR="$dir" MRSCAN_BENCH_SERVE_INITIAL=4000 \
          MRSCAN_BENCH_SERVE_MUTATIONS=64 \

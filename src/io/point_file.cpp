@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "io/checked_file.hpp"
+#include "io/text_writer.hpp"
 #include "util/assert.hpp"
 
 namespace mrscan::io {
@@ -174,14 +175,9 @@ geom::PointSet read_points_binary_range(const std::filesystem::path& path,
 
 void write_points_text(const std::filesystem::path& path,
                        std::span<const geom::Point> points) {
-  errno = 0;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) io_fail(path, "cannot open for writing");
-  out.precision(17);
-  for (const geom::Point& p : points) {
-    out << p.id << ' ' << p.x << ' ' << p.y << ' ' << p.weight << '\n';
-  }
-  if (!out) io_fail(path, "write failed");
+  TextRecordWriter out(path);
+  for (const geom::Point& p : points) out.write(p);
+  out.close();
 }
 
 geom::PointSet read_points_text(const std::filesystem::path& path) {

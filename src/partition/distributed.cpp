@@ -111,6 +111,18 @@ void record_phase(obs::Recorder* recorder,
   mrnet::record_network_stats(*recorder, "partition", result.net_stats);
 }
 
+/// Run `step` under a wall span `name` ("partition reduce/plan/
+/// materialize") when the recorder traces; returns what `step` returns.
+template <typename Step>
+decltype(auto) traced(obs::Recorder* recorder, const char* name,
+                      Step&& step) {
+  std::optional<obs::Tracer::WallScope> span;
+  if (recorder != nullptr && recorder->tracing()) {
+    span.emplace(recorder->tracer(), name, "step");
+  }
+  return step();
+}
+
 /// The phase steps real and model mode share: reduce the leaves'
 /// histogram packets to the root, plan there serially, broadcast the
 /// boundaries, let `write_output` produce the partitions (it returns
@@ -123,23 +135,28 @@ PartitionPhaseResult reduce_plan_and_write(
     const DistributedPartitionerConfig& config,
     const sim::TitanParams& titan, WriteOutput&& write_output) {
   PartitionPhaseResult result;
-  mrnet::Packet root_packet = net.reduce(
-      std::move(leaf_packets),
-      [](std::uint32_t, std::vector<mrnet::Packet> children,
-         std::uint64_t& ops) {
-        index::CellHistogram merged;
-        for (const auto& c : children) {
-          const index::CellHistogram h = unpack_histogram(c);
-          ops += h.cell_count();
-          merged.merge(h);
-        }
-        return pack_histogram(merged);
+  const index::CellHistogram hist =
+      traced(config.recorder, "partition reduce", [&] {
+        const mrnet::Packet root_packet = net.reduce(
+            std::move(leaf_packets),
+            [](std::uint32_t, std::vector<mrnet::Packet> children,
+               std::uint64_t& ops) {
+              index::CellHistogram merged;
+              for (const auto& c : children) {
+                const index::CellHistogram h = unpack_histogram(c);
+                ops += h.cell_count();
+                merged.merge(h);
+              }
+              return pack_histogram(merged);
+            });
+        return unpack_histogram(root_packet);
       });
   result.histogram_reduce_seconds = net.stats().last_op_seconds;
 
   // ---- Root plans serially. ----
-  const index::CellHistogram hist = unpack_histogram(root_packet);
-  result.plan = plan_partitions(hist, geometry, config.planner);
+  result.plan = traced(config.recorder, "partition plan", [&] {
+    return plan_partitions(hist, geometry, config.planner);
+  });
   // Deterministic cost model: the serial planner walks every cell a small
   // constant number of times (packing + shadow + rebalance).
   result.plan_seconds = static_cast<double>(hist.cell_count()) * 50.0 /
@@ -150,7 +167,9 @@ PartitionPhaseResult reduce_plan_and_write(
       net.multicast(pack_plan(result.plan),
                     [](std::uint32_t, const mrnet::Packet&) {});
 
-  const std::uint64_t output_points = write_output(result);
+  const std::uint64_t output_points =
+      traced(config.recorder, "partition materialize",
+             [&] { return write_output(result); });
   fill_io_times(result, input_points * io::kBinaryRecordSize,
                 output_points * io::kBinaryRecordSize,
                 config.partition_nodes, result.plan.part_count(),

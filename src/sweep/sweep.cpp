@@ -3,6 +3,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "io/text_writer.hpp"
 #include "util/assert.hpp"
 
 namespace mrscan::sweep {
@@ -43,19 +44,9 @@ std::vector<LabeledPoint> label_owned_points(
 
 void write_labeled_text(const std::filesystem::path& path,
                         std::span<const LabeledPoint> records) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("mrscan: cannot open for writing: " +
-                             path.string());
-  }
-  out.precision(17);
-  for (const LabeledPoint& r : records) {
-    out << r.point.id << ' ' << r.point.x << ' ' << r.point.y << ' '
-        << r.point.weight << ' ' << r.cluster << '\n';
-  }
-  if (!out) {
-    throw std::runtime_error("mrscan: write failed: " + path.string());
-  }
+  io::TextRecordWriter out(path);
+  for (const LabeledPoint& r : records) out.write(r.point, r.cluster);
+  out.close();
 }
 
 std::vector<LabeledPoint> read_labeled_text(

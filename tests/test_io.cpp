@@ -3,9 +3,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "io/point_file.hpp"
+#include "io/text_writer.hpp"
 
 namespace mg = mrscan::geom;
 namespace mio = mrscan::io;
@@ -89,6 +93,49 @@ TEST_F(PointFileTest, TextRoundTrip) {
     EXPECT_EQ(back[i].id, pts[i].id);
     EXPECT_DOUBLE_EQ(back[i].x, pts[i].x);
     EXPECT_DOUBLE_EQ(back[i].y, pts[i].y);
+  }
+}
+
+TEST_F(PointFileTest, TextBytesMatchPrintf) {
+  const mg::PointSet pts{
+      {0, -0.0, 5e-324, 0.1f},
+      {42, 1e300, -1e300, 1.0f},
+      {std::numeric_limits<std::uint64_t>::max(), 3.0, 0.1, 0.3f},
+  };
+  std::string expected;
+  for (const mg::Point& p : pts) {
+    char line[256];
+    std::snprintf(line, sizeof line, "%llu %.17g %.17g %.17g\n",
+                  static_cast<unsigned long long>(p.id), p.x, p.y,
+                  static_cast<double>(p.weight));
+    expected += line;
+  }
+  const auto path = dir_ / "edge.txt";
+  mio::write_points_text(path, pts);
+  std::ifstream in(path, std::ios::binary);
+  const std::string got{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_EQ(got, expected);
+}
+
+TEST_F(PointFileTest, TextWriterReportsErrnoContext) {
+  try {
+    mio::write_points_text(dir_ / "missing" / "pts.txt", sample_points(3));
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cannot open for writing"), std::string::npos);
+    EXPECT_NE(what.find("No such file or directory"), std::string::npos);
+  }
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  try {
+    mio::TextRecordWriter out("/dev/full");
+    out.write(mg::Point{1, 2.0, 3.0, 1.0f});
+    out.close();
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("write failed"), std::string::npos);
+    EXPECT_NE(what.find("No space left on device"), std::string::npos);
   }
 }
 

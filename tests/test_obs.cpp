@@ -295,6 +295,32 @@ TEST(ObsPipeline, TracingLeavesFaultInjectedOutputByteIdentical) {
   }
 }
 
+TEST(ObsPipeline, PartitionSubStepSpansNestInThePartitionPhase) {
+  auto config = obs_config();
+  config.observability.enabled = true;
+  const auto result = mc::MrScan(config).run(obs_points());
+  ASSERT_NE(result.obs, nullptr);
+  const auto spans = result.obs->tracer().spans();
+  const auto find = [&](const std::string& name) {
+    return std::find_if(spans.begin(), spans.end(),
+                        [&](const mo::TraceSpan& s) { return s.name == name; });
+  };
+  const auto phase = find("phase:partition");
+  ASSERT_NE(phase, spans.end());
+  double previous_end = phase->begin;
+  for (const char* step :
+       {"partition reduce", "partition plan", "partition materialize"}) {
+    const auto span = find(step);
+    ASSERT_NE(span, spans.end()) << step;
+    EXPECT_EQ(span->clock, mo::SpanClock::kWall) << step;
+    EXPECT_EQ(span->category, "step") << step;
+    // In order, one after the other, inside the phase.
+    EXPECT_GE(span->begin, previous_end) << step;
+    EXPECT_LE(span->end, phase->end) << step;
+    previous_end = span->end;
+  }
+}
+
 TEST(ObsPipeline, DisabledRunStillPopulatesRegistry) {
   // Observability off is the default — but the registry (not the tracer)
   // is always live, because MrScanResult is populated from it.

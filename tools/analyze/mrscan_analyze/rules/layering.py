@@ -34,7 +34,9 @@ ALLOWED_DEPS: dict[str, tuple[str, ...]] = {
     "fault": ("io", "sim", "util"),
     "mrnet": ("fault", "obs", "sim", "util"),
     "merge": ("cluster", "dbscan", "geometry", "mrnet", "util"),
-    "sweep": ("dbscan", "geometry", "merge", "util"),
+    # sweep -> io: the labelled output is encoded by io's one streaming
+    # text-record writer (io/text_writer.hpp), shared with point files.
+    "sweep": ("dbscan", "geometry", "io", "merge", "util"),
     "quality": ("dbscan", "geometry", "sweep", "util"),
     "partition": ("geometry", "index", "io", "mrnet", "obs", "sim",
                   "util"),
