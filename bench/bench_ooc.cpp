@@ -3,12 +3,12 @@
 //   1. The 8,192-leaf Twitter-shaped replica on one box — the tentpole
 //      scale proof — resident vs working sets {512, 64, 8}. At this
 //      replica shape each part owns only ~18 Eps-cells, so shadow
-//      replication runs ~13x and keeping every leaf's point set and
-//      labels resident costs ~2 GiB; streamed, peak RSS drops to the
-//      O(N)+summaries floor (~350 MiB) that must stay resident for the
-//      merge tree, nearly independent of the working-set size.
+//      replication runs ~13x and keeping every leaf's segment resident
+//      costs ~1.2 GiB; streamed, peak RSS drops to the O(N)+summaries
+//      floor (~375 MiB) that must stay resident for the merge tree,
+//      nearly independent of the working-set size.
 //   2. A fat-leaf shape (64 leaves x 50k points) where per-leaf cluster
-//      state dominates — the same bound, roughly halving peak RSS.
+//      state dominates — the same bound, about a third off peak RSS.
 //
 // Every cell reports peak RSS (VmHWM, reset per run) and cluster-phase
 // throughput (leaves/s), exported as BENCH_ooc_scale.json for the
@@ -104,7 +104,6 @@ int main() {
     config.partition_nodes = 8;
     config.host_threads = 0;  // hardware concurrency; output is invariant
     if (working_set != 0) {
-      config.ooc.enabled = true;
       config.ooc.dir = spool_base / label;
       config.ooc.working_set = working_set;
       // The checkpoint cadence is a durability knob, not a memory one;

@@ -283,8 +283,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--demo") {
       demo_points = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--ooc-dir") {
-      ooc.enabled = true;
       ooc.dir = next();
+      if (ooc.dir.empty()) bad_value("--ooc-dir", "", "a non-empty path");
     } else if (arg == "--working-set") {
       const char* value = next();
       ooc.working_set = std::strtoull(value, nullptr, 10);
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
                  "mrscan_cli: --serve-script/--serve-demo need --serve\n");
     return 2;
   }
-  if (!ooc.enabled &&
+  if (ooc.dir.empty() &&
       (working_set_given || ooc.resume || ooc.abort_after_leaves != 0)) {
     std::fprintf(stderr,
                  "mrscan_cli: --working-set/--resume/--ooc-abort-after "
@@ -399,7 +399,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (ooc.enabled) {
+    if (!ooc.dir.empty()) {
       // Convert the streamed binary output to the labeled text contract so
       // an out-of-core CLI run's --output is byte-identical to a resident
       // run's.
@@ -424,7 +424,7 @@ int main(int argc, char** argv) {
   std::printf("output records: %llu -> %s\n",
               static_cast<unsigned long long>(result.output_records),
               output.c_str());
-  if (ooc.enabled && result.ooc_leaves_restored > 0) {
+  if (result.ooc_leaves_restored > 0) {
     std::printf("resumed: %zu leaves restored from checkpoint\n",
                 result.ooc_leaves_restored);
   }

@@ -47,16 +47,14 @@ std::filesystem::path ooc_labels_path(const std::filesystem::path& dir,
   return dir / ("labels_" + std::to_string(leaf_rank) + ".lbl");
 }
 
-/// Spill a leaf's owned-point cluster ids (what the sweep callback
-/// needs); shadow labels are only consumed inside the leaf summary and
-/// never re-read. Atomic write: a crash can't leave a torn spill that a
-/// later resume would trust.
+/// Spill a leaf's owned cluster ids (all the sweep callback needs).
+/// Atomic write: a crash can't leave a torn spill that a later resume
+/// would trust.
 void spill_owned_labels(const std::filesystem::path& path,
-                        const dbscan::Labeling& labels,
-                        std::size_t owned_count) {
-  std::vector<std::uint8_t> buf(owned_count * sizeof(std::int64_t));
-  if (owned_count > 0) {
-    std::memcpy(buf.data(), labels.cluster.data(), buf.size());
+                        std::span<const dbscan::ClusterId> owned_ids) {
+  std::vector<std::uint8_t> buf(owned_ids.size_bytes());
+  if (!owned_ids.empty()) {
+    std::memcpy(buf.data(), owned_ids.data(), buf.size());
   }
   io::write_file_atomic(path, buf);
 }
@@ -66,20 +64,18 @@ std::uint64_t ooc_labels_bytes(std::uint64_t owned_count) {
   return owned_count * sizeof(std::int64_t);
 }
 
-dbscan::Labeling read_owned_labels(const std::filesystem::path& path,
-                                   std::size_t owned_count) {
+std::vector<dbscan::ClusterId> read_owned_labels(
+    const std::filesystem::path& path, std::size_t owned_count) {
   const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
   if (bytes.size() != ooc_labels_bytes(owned_count)) {
     errno = 0;
     io::fail(path, "label spill size does not match the leaf's owned count");
   }
-  dbscan::Labeling labels;
-  labels.cluster.resize(owned_count);
-  labels.core.assign(owned_count, 0);
+  std::vector<dbscan::ClusterId> owned_ids(owned_count);
   if (owned_count > 0) {
-    std::memcpy(labels.cluster.data(), bytes.data(), bytes.size());
+    std::memcpy(owned_ids.data(), bytes.data(), bytes.size());
   }
-  return labels;
+  return owned_ids;
 }
 
 /// GPU stats round-trip for checkpoint entries, so metric reductions on
@@ -215,13 +211,12 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   };
 
   // ---- Partition phase (its own flat tree, §3.1.3). ----
-  const bool ooc = config_.ooc.enabled;
-  const std::filesystem::path ooc_dir = config_.ooc.dir;
-  if (ooc) {
-    MRSCAN_REQUIRE_MSG(!ooc_dir.empty(),
-                       "out-of-core execution needs OocOptions::dir");
-    std::filesystem::create_directories(ooc_dir);
-  }
+  // An out-of-core run (DESIGN §15) differs from a resident one only in
+  // where each leaf's points and owned labels live between phases: its
+  // segment file and label spill under ooc_dir instead of memory.
+  const std::filesystem::path& ooc_dir = config_.ooc.dir;
+  const bool ooc = !ooc_dir.empty();
+  if (ooc) std::filesystem::create_directories(ooc_dir);
 
   partition::DistributedPartitionerConfig part_config;
   part_config.eps = config_.params.eps;
@@ -235,7 +230,7 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   part_config.transport = config_.transport;
   part_config.host_threads = config_.host_threads;
   part_config.recorder = recorder.get();
-  if (ooc) part_config.spool_dir = ooc_dir;
+  part_config.spool_dir = ooc_dir;
 
   {
     obs::PhaseScope scope(*recorder, "partition");
@@ -244,8 +239,8 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   }
   result.sim.partition = result.partition_phase.sim_seconds;
 
-  // Resident mode holds the segments; out-of-core mode spooled them to
-  // per-leaf files and keeps only the record counts. Everything
+  // A resident run holds the segments; an out-of-core run spooled them
+  // to per-leaf files and keeps only the record counts. Everything
   // downstream that needs sizes reads seg_counts so both modes drive
   // the identical cost model.
   const auto& segments = result.partition_phase.segments;
@@ -279,22 +274,35 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
     }
   }
 
-  std::vector<dbscan::Labeling> leaf_labels(leaf_count);
+  // Owned cluster ids per leaf, kept for the sweep (resident runs only;
+  // an out-of-core run spills them).
+  std::vector<std::vector<dbscan::ClusterId>> leaf_owned_ids(leaf_count);
   std::vector<mrnet::Packet> leaf_packets(leaf_count);
   std::vector<double> leaf_ready(leaf_count, 0.0);
-  std::vector<geom::PointSet> leaf_points(leaf_count);
   result.leaf_stats.resize(leaf_count);
 
-  // Cluster one partition's points (owned first, shadow after): fills the
-  // leaf's stats slot and labels, and returns the summary packet plus the
-  // host + device compute seconds (partition read time is charged
-  // separately by the caller). Fully deterministic, so a recovery re-run
-  // — or an out-of-core re-read of the same segment file — produces the
-  // exact packet the leaf would have sent.
-  const auto cluster_points =
-      [&](std::size_t leaf, const geom::PointSet& pts,
-          std::size_t owned_count,
-          dbscan::Labeling& labels) -> std::pair<mrnet::Packet, double> {
+  // Cluster one leaf: load its points (owned first, shadow after), run
+  // the GPGPU DBSCAN, build the summary, and keep the owned cluster ids
+  // for the sweep. Fills the leaf's stats slot and returns the summary
+  // packet plus the host + device compute seconds (partition read time
+  // is charged separately by the caller). Fully deterministic, so a
+  // recovery re-run — or an out-of-core re-read of the same segment
+  // file — produces the exact packet the leaf would have sent.
+  const auto cluster_leaf =
+      [&](std::size_t leaf) -> std::pair<mrnet::Packet, double> {
+    geom::PointSet pts;
+    if (ooc) {
+      const io::MappedSegment seg(io::segment_file_path(ooc_dir, leaf));
+      reg.add("ooc.mapped_bytes", seg.mapped_bytes());
+      pts = seg.decode_all();
+    } else {
+      pts.reserve(seg_counts[leaf].total());
+      pts.assign(segments[leaf].owned.begin(), segments[leaf].owned.end());
+      pts.insert(pts.end(), segments[leaf].shadow.begin(),
+                 segments[leaf].shadow.end());
+    }
+    const std::size_t owned_count = seg_counts[leaf].owned;
+
     gpu::VirtualDevice device(config_.titan.gpu_spec);
     gpu::GpuDbscanResult clustered =
         gpu::mrscan_gpu_dbscan(pts, gpu_config, device);
@@ -306,52 +314,36 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
                     : static_cast<double>(pts.size()) *
                           std::log2(static_cast<double>(pts.size()) + 1) /
                           config_.titan.cpu_op_rate;
-    labels = std::move(clustered.labels);
 
     merge::LeafSummaryInput input;
     input.points = pts;
     input.owned_count = owned_count;
-    input.labels = &labels;
+    input.labels = &clustered.labels;
     input.geometry = plan.geometry;
     input.owned_cells = plan.parts[leaf].owned_cells;
     input.shadow_cells = plan.parts[leaf].shadow_cells;
     input.shadow_rings = plan.shadow_rings;
-    return {merge::build_leaf_summary(input).to_packet(),
+    mrnet::Packet summary = merge::build_leaf_summary(input).to_packet();
+
+    // Shadow labels are consumed by the summary alone; the sweep needs
+    // only the owned prefix.
+    std::vector<dbscan::ClusterId> owned_ids =
+        std::move(clustered.labels.cluster);
+    owned_ids.resize(owned_count);
+    if (ooc) {
+      spill_owned_labels(ooc_labels_path(ooc_dir, leaf), owned_ids);
+    } else {
+      owned_ids.shrink_to_fit();
+      leaf_owned_ids[leaf] = std::move(owned_ids);
+    }
+    return {std::move(summary),
             host_build + clustered.stats.device_seconds};
-  };
-
-  // Resident mode: concatenate the segment into the leaf's slot and keep
-  // points + labels resident for the sweep.
-  const auto cluster_leaf =
-      [&](std::size_t leaf) -> std::pair<mrnet::Packet, double> {
-    geom::PointSet& pts = leaf_points[leaf];
-    pts = segments[leaf].owned;
-    pts.insert(pts.end(), segments[leaf].shadow.begin(),
-               segments[leaf].shadow.end());
-    return cluster_points(leaf, pts, segments[leaf].owned.size(),
-                          leaf_labels[leaf]);
-  };
-
-  // Out-of-core mode: map the leaf's segment file, cluster, spill the
-  // owned labels, and drop every per-leaf structure on return — after
-  // which only the summary packet (and the sweep-time re-map) remain.
-  const auto ooc_cluster_leaf =
-      [&](std::size_t leaf) -> std::pair<mrnet::Packet, double> {
-    const io::MappedSegment seg(io::segment_file_path(ooc_dir, leaf));
-    reg.add("ooc.mapped_bytes", seg.mapped_bytes());
-    const geom::PointSet pts = seg.decode_all();
-    dbscan::Labeling labels;
-    auto summary = cluster_points(
-        leaf, pts, static_cast<std::size_t>(seg.owned_count()), labels);
-    spill_owned_labels(ooc_labels_path(ooc_dir, leaf), labels,
-                       static_cast<std::size_t>(seg.owned_count()));
-    return summary;
   };
 
   // The per-leaf cluster loop is the host-side concurrency the paper's
   // thousands of leaves give for free (§3.2); here a ThreadPool supplies
-  // it. Every iteration writes only its own slots of leaf_labels /
-  // leaf_packets / leaf_ready / leaf_points / result.leaf_stats, and the
+  // it. Every iteration writes only its own slots of leaf_owned_ids /
+  // leaf_packets / leaf_ready / leaf_done / result.leaf_stats, and the
   // cross-leaf gpu_dbscan_seconds max is reduced after the merge barrier
   // (so recovery re-runs are included too) — which is what keeps the
   // output bit-identical for any worker count.
@@ -429,9 +421,8 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   if (tracing) pool.set_observer(&pool_metrics);
   {
     obs::PhaseScope scope(*recorder, "cluster");
-    // Per-leaf body shared by both modes; every iteration writes only
-    // its own slots of leaf_* / result.leaf_stats (DESIGN §8).
     const auto run_leaf = [&](std::size_t leaf) {
+      if (leaf_done[leaf] != 0) return;  // restored from checkpoint
       std::optional<obs::Tracer::WallScope> span;
       if (tracing) {
         span.emplace(tracer, "cluster leaf " + std::to_string(leaf),
@@ -444,60 +435,56 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
         return;
       }
       const double read_time = leaf_read_seconds(leaf);
-      auto summary = ooc ? ooc_cluster_leaf(leaf) : cluster_leaf(leaf);
+      auto summary = cluster_leaf(leaf);
       leaf_packets[leaf] = std::move(summary.first);
       leaf_ready[leaf] = read_time + summary.second;
       leaf_done[leaf] = 1;
     };
 
-    if (!ooc) {
-      pool.parallel_for(0, leaf_count, run_leaf);
-      // parallel_for rethrows the first leaf failure; any concurrent ones
-      // must have been counted, never silently swallowed.
-      MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
-                        "cluster phase swallowed a worker exception");
-    } else {
-      // Stream leaves through the bounded working set: at most
-      // working_set leaves are mapped/resident at once, and a checkpoint
-      // lands after every chunk so a kill forfeits one chunk of work.
-      const std::size_t working_set =
-          std::max<std::size_t>(1, config_.ooc.working_set);
-      reg.set("ooc.working_set", static_cast<double>(working_set));
+    // Leaves run in rank-order chunks. A resident run is one chunk of
+    // every leaf. An out-of-core run streams leaves through the bounded
+    // working set: at most working_set leaves are mapped/resident at
+    // once, and a checkpoint lands after every chunk so a kill forfeits
+    // one chunk of work.
+    const std::size_t chunk =
+        ooc ? std::max<std::size_t>(1, config_.ooc.working_set)
+            : leaf_count;
+    if (ooc) {
+      reg.set("ooc.working_set", static_cast<double>(chunk));
       reg.add("ooc.leaves_restored", result.ooc_leaves_restored);
       reg.add("ooc.chunks", 0);
       reg.add("ooc.leaves_clustered", 0);
       reg.add("ooc.checkpoint_writes", 0);
       reg.add("ooc.checkpoint_bytes", 0);
       reg.add("ooc.mapped_bytes", 0);
-      std::size_t fresh_clustered = 0;
-      for (std::size_t begin = 0; begin < leaf_count;
-           begin += working_set) {
-        const std::size_t end = std::min(leaf_count, begin + working_set);
-        const std::size_t done_before =
-            static_cast<std::size_t>(std::count(
-                leaf_done.begin() + static_cast<std::ptrdiff_t>(begin),
-                leaf_done.begin() + static_cast<std::ptrdiff_t>(end), 1));
-        pool.parallel_for(begin, end, [&](std::size_t leaf) {
-          if (leaf_done[leaf] != 0) return;  // restored from checkpoint
-          run_leaf(leaf);
-        });
-        MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
-                          "cluster phase swallowed a worker exception");
-        const std::size_t done_after =
-            static_cast<std::size_t>(std::count(
-                leaf_done.begin() + static_cast<std::ptrdiff_t>(begin),
-                leaf_done.begin() + static_cast<std::ptrdiff_t>(end), 1));
-        fresh_clustered += done_after - done_before;
-        reg.add("ooc.chunks", 1);
-        reg.add("ooc.leaves_clustered", done_after - done_before);
-        if (config_.ooc.checkpoint) save_ooc_checkpoint();
-        if (config_.ooc.abort_after_leaves != 0 &&
-            fresh_clustered >= config_.ooc.abort_after_leaves) {
-          throw OocAborted(
-              "mrscan: out-of-core run aborted after " +
-              std::to_string(fresh_clustered) +
-              " freshly clustered leaves (OocOptions::abort_after_leaves)");
-        }
+    }
+    const auto done_in = [&](std::size_t begin, std::size_t end) {
+      return static_cast<std::size_t>(
+          std::count(leaf_done.begin() + static_cast<std::ptrdiff_t>(begin),
+                     leaf_done.begin() + static_cast<std::ptrdiff_t>(end),
+                     1));
+    };
+    std::size_t fresh_clustered = 0;
+    for (std::size_t begin = 0; begin < leaf_count; begin += chunk) {
+      const std::size_t end = std::min(leaf_count, begin + chunk);
+      const std::size_t done_before = done_in(begin, end);
+      pool.parallel_for(begin, end, run_leaf);
+      // parallel_for rethrows the first leaf failure; any concurrent ones
+      // must have been counted, never silently swallowed.
+      MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
+                        "cluster phase swallowed a worker exception");
+      if (!ooc) continue;
+      const std::size_t fresh = done_in(begin, end) - done_before;
+      fresh_clustered += fresh;
+      reg.add("ooc.chunks", 1);
+      reg.add("ooc.leaves_clustered", fresh);
+      if (config_.ooc.checkpoint) save_ooc_checkpoint();
+      if (config_.ooc.abort_after_leaves != 0 &&
+          fresh_clustered >= config_.ooc.abort_after_leaves) {
+        throw OocAborted(
+            "mrscan: out-of-core run aborted after " +
+            std::to_string(fresh_clustered) +
+            " freshly clustered leaves (OocOptions::abort_after_leaves)");
       }
     }
   }
@@ -529,10 +516,11 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
           // Runs on the event-loop thread after the cluster-phase barrier,
           // so refilling the dead rank's leaf_* slots cannot race the
           // (already joined) cluster workers. Out-of-core runs really do
-          // re-read: the segment file is mapped and clustered afresh.
+          // re-read: the segment file is mapped and clustered afresh, and
+          // the label spill rewritten.
           const double reread = partition::segment_reread_seconds(
               seg_counts[rank], config_.titan.lustre);
-          auto summary = ooc ? ooc_cluster_leaf(rank) : cluster_leaf(rank);
+          auto summary = cluster_leaf(rank);
           recovery_cost_s = reread + summary.second;
           if (tracing) {
             const std::uint32_t track = topology.leaves()[rank];
@@ -631,7 +619,14 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
   // resident run appends to result.output, so the file is byte-identical
   // to the resident records (DESIGN §8, §15).
   std::optional<io::LabeledFileWriter> ooc_writer;
-  if (ooc) ooc_writer.emplace(ooc_dir / "output.labeled");
+  if (ooc) {
+    ooc_writer.emplace(ooc_dir / "output.labeled");
+  } else {
+    // The root's file offsets (§3.4) already count the records, so the
+    // whole-output vector is sized once instead of grown by doubling.
+    result.output.reserve(config_.keep_noise ? plan.total_owned_points()
+                                             : assignment.offsets.back());
+  }
   {
     obs::PhaseScope scope(*recorder, "sweep");
     scatter_seconds = net.scatter(
@@ -658,30 +653,35 @@ MrScanResult MrScan::run(std::span<const geom::Point> points) const {
           return pack_id_map(child_ids);
         },
         [&](std::uint32_t leaf_rank, const mrnet::Packet& packet) {
+          // The leaf's owned points and owned cluster ids. Out of core
+          // both are re-mapped from its segment file and label spill and
+          // dropped again when the callback returns.
+          geom::PointSet mapped_owned;
+          std::span<const geom::Point> owned;
+          dbscan::Labeling labels;
+          if (ooc) {
+            const io::MappedSegment seg(
+                io::segment_file_path(ooc_dir, leaf_rank));
+            reg.add("ooc.mapped_bytes", seg.mapped_bytes());
+            mapped_owned = seg.decode_owned();
+            owned = mapped_owned;
+            labels.cluster = read_owned_labels(
+                ooc_labels_path(ooc_dir, leaf_rank), owned.size());
+          } else {
+            owned = segments[leaf_rank].owned;
+            labels.cluster = std::move(leaf_owned_ids[leaf_rank]);
+          }
           const std::vector<std::int64_t> global_of_local =
               unpack_id_map(packet);
-          if (!ooc) {
-            auto records = sweep::label_owned_points(
-                std::span<const geom::Point>(leaf_points[leaf_rank])
-                    .first(segments[leaf_rank].owned.size()),
-                leaf_labels[leaf_rank], global_of_local,
-                config_.keep_noise);
-            result.output.insert(result.output.end(), records.begin(),
-                                 records.end());
-            return;
-          }
-          // Re-map just this leaf's owned points and its label spill;
-          // both are dropped again when the callback returns.
-          const io::MappedSegment seg(
-              io::segment_file_path(ooc_dir, leaf_rank));
-          reg.add("ooc.mapped_bytes", seg.mapped_bytes());
-          const geom::PointSet owned = seg.decode_owned();
-          const dbscan::Labeling labels = read_owned_labels(
-              ooc_labels_path(ooc_dir, leaf_rank), owned.size());
           const auto records = sweep::label_owned_points(
               owned, labels, global_of_local, config_.keep_noise);
-          for (const sweep::LabeledPoint& record : records) {
-            ooc_writer->append(record.point, record.cluster);
+          if (ooc) {
+            for (const sweep::LabeledPoint& record : records) {
+              ooc_writer->append(record.point, record.cluster);
+            }
+          } else {
+            result.output.insert(result.output.end(), records.begin(),
+                                 records.end());
           }
         });
   }

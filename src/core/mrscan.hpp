@@ -43,9 +43,9 @@ namespace mrscan::core {
 /// bit-identical to a resident run (same records, counters, and
 /// simulated seconds); only peak memory changes.
 struct OocOptions {
-  bool enabled = false;
   /// Spool directory for segment files, label spills, the checkpoint
-  /// manifest, and the streamed output. Required when enabled.
+  /// manifest, and the streamed output. Empty = a resident run; a
+  /// non-empty path turns out-of-core execution on.
   std::filesystem::path dir;
   /// Leaves concurrently resident during the cluster phase; peak
   /// residency is working_set × points_per_leaf, not the full dataset.
@@ -122,7 +122,7 @@ struct MrScanConfig {
   /// leaves_used). Drop/slow/reorder faults address nodes of
   /// mrnet::Topology::balanced(leaves_used, fanout), or fault::kAllNodes.
   fault::FaultPlan fault_plan;
-  /// Out-of-core execution (DESIGN §15). Off by default.
+  /// Out-of-core execution (DESIGN §15). Off (no dir) by default.
   OocOptions ooc;
   /// Observability (span tracing + JSON export). run() overlays the
   /// MRSCAN_OBS / MRSCAN_TRACE_OUT / MRSCAN_METRICS_OUT environment

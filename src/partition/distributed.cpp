@@ -234,21 +234,11 @@ PartitionPhaseResult run_distributed_partitioner(
       [&](PartitionPhaseResult& result) {
         // ---- Leaves materialise and write the segmented file. ----
         const index::Grid grid(geometry, points);
-        if (config.spool_dir.empty()) {
-          result.segments = materialize_partitions(result.plan, grid, points,
-                                                   config.materialize);
-          result.segment_counts.reserve(result.segments.size());
-          for (const auto& seg : result.segments) {
-            result.segment_counts.push_back(
-                {seg.owned.size(), seg.shadow.size()});
-          }
-        } else {
-          // Out-of-core: spool each partition to its per-leaf segment
-          // file and keep only the counts resident (DESIGN §15).
-          result.segment_counts = materialize_partitions_to_files(
-              result.plan, grid, points, config.spool_dir, pool,
-              config.materialize);
-        }
+        MaterializedPartitions parts =
+            materialize_partitions(result.plan, grid, points, pool,
+                                   config.materialize, config.spool_dir);
+        result.segments = std::move(parts.segments);
+        result.segment_counts = std::move(parts.counts);
         std::uint64_t output_points = 0;
         for (const auto& counts : result.segment_counts) {
           output_points += counts.total();

@@ -45,9 +45,10 @@ struct DistributedPartitionerConfig {
   std::size_t partition_nodes = 2;
   double eps = 1.0;
   Transport transport = Transport::kLustre;
-  /// Host worker threads for the per-node cell-histogram build (the
-  /// partitioner leaves are independent). 0 = hardware concurrency,
-  /// 1 = sequential; the plan is bit-identical for any value.
+  /// Host worker threads for the per-node cell-histogram build and the
+  /// per-part materialize loop (partitioner leaves and parts are
+  /// independent). 0 = hardware concurrency, 1 = sequential; the plan
+  /// and the segments are bit-identical for any value.
   std::size_t host_threads = 1;
   /// Per-run observability recorder (non-owning, may be null). The phase
   /// records its sub-phase gauges ("partition.*"), the rebalance-move

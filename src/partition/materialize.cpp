@@ -6,15 +6,13 @@
 
 namespace mrscan::partition {
 
+namespace {
+
 io::Segment materialize_partition(const PartitionPlan& plan,
                                   std::size_t part_index,
                                   const index::Grid& grid,
                                   std::span<const geom::Point> points,
                                   const MaterializeConfig& config) {
-  MRSCAN_REQUIRE_MSG(grid.geometry().cell_size == plan.geometry.cell_size,
-                     "grid geometry does not match the plan");
-  MRSCAN_REQUIRE(part_index < plan.parts.size());
-
   const PartitionPart& part = plan.parts[part_index];
   io::Segment seg;
 
@@ -26,6 +24,7 @@ io::Segment materialize_partition(const PartitionPlan& plan,
     }
   }
 
+  seg.shadow.reserve(part.shadow_points);
   for (const std::uint64_t code : part.shadow_cells) {
     const geom::CellKey key = geom::cell_from_code(code);
     const auto members = grid.points_in(key);
@@ -48,33 +47,30 @@ io::Segment materialize_partition(const PartitionPlan& plan,
   return seg;
 }
 
-std::vector<io::Segment> materialize_partitions(
-    const PartitionPlan& plan, const index::Grid& grid,
-    std::span<const geom::Point> points, const MaterializeConfig& config) {
-  std::vector<io::Segment> segments(plan.parts.size());
-  for (std::size_t pi = 0; pi < plan.parts.size(); ++pi) {
-    segments[pi] = materialize_partition(plan, pi, grid, points, config);
-  }
-  return segments;
-}
+}  // namespace
 
-std::vector<io::SegmentCounts> materialize_partitions_to_files(
+MaterializedPartitions materialize_partitions(
     const PartitionPlan& plan, const index::Grid& grid,
-    std::span<const geom::Point> points, const std::filesystem::path& dir,
-    util::ThreadPool& pool, const MaterializeConfig& config) {
-  std::vector<io::SegmentCounts> counts(plan.parts.size());
-  // Each worker materializes one partition at a time and writes only its
-  // own counts slot, so the fan-out is deterministic and at most
-  // worker_count() segments are resident at once.
+    std::span<const geom::Point> points, util::ThreadPool& pool,
+    const MaterializeConfig& config, const std::filesystem::path& spool_dir) {
+  MRSCAN_REQUIRE_MSG(grid.geometry().cell_size == plan.geometry.cell_size,
+                     "grid geometry does not match the plan");
+  const bool spool = !spool_dir.empty();
+  MaterializedPartitions out;
+  if (!spool) out.segments.resize(plan.parts.size());
+  out.counts.resize(plan.parts.size());
   pool.parallel_for(0, plan.parts.size(), [&](std::size_t pi) {
-    const io::Segment seg =
-        materialize_partition(plan, pi, grid, points, config);
-    io::write_segment_file(io::segment_file_path(dir, pi), seg);
-    counts[pi] = {seg.owned.size(), seg.shadow.size()};
+    io::Segment seg = materialize_partition(plan, pi, grid, points, config);
+    out.counts[pi] = {seg.owned.size(), seg.shadow.size()};
+    if (spool) {
+      io::write_segment_file(io::segment_file_path(spool_dir, pi), seg);
+    } else {
+      out.segments[pi] = std::move(seg);
+    }
   });
   MRSCAN_ASSERT_MSG(pool.dropped_exceptions() == 0,
-                    "segment spool worker dropped an exception");
-  return counts;
+                    "materialize worker dropped an exception");
+  return out;
 }
 
 double segment_reread_seconds(const io::SegmentCounts& counts,

@@ -23,30 +23,25 @@ struct MaterializeConfig {
   std::size_t shadow_rep_threshold = 0;
 };
 
-/// Extract one partition's owned and shadow points. `grid` must be built
-/// over `points` with the plan's geometry.
-io::Segment materialize_partition(const PartitionPlan& plan,
-                                  std::size_t part_index,
-                                  const index::Grid& grid,
-                                  std::span<const geom::Point> points,
-                                  const MaterializeConfig& config = {});
+/// Every partition of a plan, as materialize_partitions leaves it.
+struct MaterializedPartitions {
+  /// One segment per part; empty when the parts were spooled to files.
+  std::vector<io::Segment> segments;
+  /// Per-part record counts, filled either way.
+  std::vector<io::SegmentCounts> counts;
+};
 
-/// Extract each partition's owned and shadow points (resident mode).
-std::vector<io::Segment> materialize_partitions(
+/// Extract every partition's owned and shadow points on `pool`; `grid`
+/// must be built over `points` with the plan's geometry. Part pi writes
+/// only its own slots, so the result is identical for any worker count.
+/// With an empty `spool_dir` each part keeps its segment; otherwise it
+/// writes it to io::segment_file_path(spool_dir, pi) and drops it, so at
+/// most pool-many segments are in flight at once (DESIGN §15).
+MaterializedPartitions materialize_partitions(
     const PartitionPlan& plan, const index::Grid& grid,
-    std::span<const geom::Point> points,
-    const MaterializeConfig& config = {});
-
-/// Out-of-core mode: materialize each partition and spool it to a
-/// per-leaf segment file under `dir` (io::segment_file_path naming)
-/// instead of keeping it resident — only `pool`-many segments are in
-/// flight at once, so peak residency during partition output stays
-/// bounded by the worker count, not the leaf count. Returns the per-leaf
-/// record counts (DESIGN §15).
-std::vector<io::SegmentCounts> materialize_partitions_to_files(
-    const PartitionPlan& plan, const index::Grid& grid,
-    std::span<const geom::Point> points, const std::filesystem::path& dir,
-    util::ThreadPool& pool, const MaterializeConfig& config = {});
+    std::span<const geom::Point> points, util::ThreadPool& pool,
+    const MaterializeConfig& config = {},
+    const std::filesystem::path& spool_dir = {});
 
 /// Modeled PFS cost of re-reading one materialized partition during leaf
 /// recovery: a single surviving sibling streams the dead leaf's segment

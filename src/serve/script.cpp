@@ -1,5 +1,6 @@
 #include "serve/script.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -34,7 +35,18 @@ ScriptResult run_script(ClusterService& service, std::istream& in,
         fail(result, line_no, "insert wants: id x y [weight]");
         break;
       }
-      fields >> p.weight;  // optional; defaults to 1
+      // Optional; a missing weight keeps the default 1, but a present
+      // one must parse as a whole.
+      std::string weight;
+      if (fields >> weight) {
+        const char* end = weight.data() + weight.size();
+        const auto [ptr, ec] = std::from_chars(weight.data(), end, p.weight);
+        if (ec != std::errc() || ptr != end) {
+          fail(result, line_no, "insert weight '" + weight +
+                                    "' is not a number");
+          break;
+        }
+      }
       service.insert(p);
     } else if (command == "remove") {
       geom::PointId id = 0;
@@ -50,7 +62,8 @@ ScriptResult run_script(ClusterService& service, std::istream& in,
         out << "epoch " << r.stats.epoch << " ok points="
             << r.stats.live_points << " clusters=" << r.stats.clusters
             << " dirty=" << r.stats.dirty_cells
-            << " recluster=" << r.stats.recluster_points << "\n";
+            << " recluster=" << r.stats.recluster_points
+            << " rejected=" << r.stats.rejected << "\n";
       } else {
         ++result.failed_epochs;
         out << "epoch " << r.stats.epoch << " failed: " << r.error << "\n";

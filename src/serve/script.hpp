@@ -3,8 +3,10 @@
 // One command per line (blank lines and '#' comments skipped):
 //
 //   insert <id> <x> <y> [weight]   queue an insert for the next epoch
+//                                  (weight defaults to 1)
 //   remove <id>                    queue a removal
-//   epoch                          advance_epoch(); prints the outcome
+//   epoch                          advance_epoch(); prints the outcome,
+//                                  rejected inserts included
 //   query <id>                     label_of(); prints the label
 //   stats <cluster-id>             cluster_stats(); prints the aggregate
 //

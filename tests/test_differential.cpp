@@ -434,7 +434,6 @@ TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
   for (const std::size_t threads : {1UL, 4UL}) {
     auto cfg = base_cfg;
     cfg.host_threads = threads;
-    cfg.ooc.enabled = true;
     cfg.ooc.dir = root / ("ht" + std::to_string(threads));
     cfg.ooc.working_set = 3;
     const auto result = mc::MrScan(cfg).run(points);
@@ -459,7 +458,6 @@ TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
   // must still reproduce the resident output byte-for-byte.
   auto kill_cfg = base_cfg;
   kill_cfg.host_threads = 4;
-  kill_cfg.ooc.enabled = true;
   kill_cfg.ooc.dir = root / "killed";
   kill_cfg.ooc.working_set = 3;
   kill_cfg.ooc.abort_after_leaves = 7;
@@ -479,6 +477,53 @@ TEST(Differential, OutOfCoreRunIsByteIdenticalToResident) {
   EXPECT_DOUBLE_EQ(resumed.sim.cluster_merge, baseline.sim.cluster_merge);
   EXPECT_DOUBLE_EQ(resumed.sim.sweep, baseline.sim.sweep);
   EXPECT_DOUBLE_EQ(resumed.gpu_dbscan_seconds, baseline.gpu_dbscan_seconds);
+
+  fs::remove_all(root);
+}
+
+TEST(Differential, OutOfCoreLeafKillsRecoverToTheResidentOutput) {
+  // Out-of-core recovery re-maps the dead leaf's segment file, clusters
+  // it afresh on a sibling and rewrites its label spill. A leaf killed
+  // before clustering never spilled; one killed after clustering spilled
+  // labels that recovery overwrites. Either way the streamed records
+  // must equal the fault-free resident run's.
+  namespace fs = std::filesystem;
+  mrscan::data::TwitterConfig tw;
+  tw.num_points = 8000;
+  tw.seed = 19;
+  const auto points = mrscan::data::generate_twitter(tw);
+
+  auto base_cfg = make_config(0.1, 20, 24, 4);
+  base_cfg.host_threads = 1;
+  const auto baseline = mc::MrScan(base_cfg).run(points);
+  ASSERT_GT(baseline.cluster_count, 0u);
+  ASSERT_GT(baseline.leaves_used, 8u);
+
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("mrscan_ooc_kill_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+
+  for (const std::size_t threads : {1UL, 4UL}) {
+    auto cfg = base_cfg;
+    cfg.host_threads = threads;
+    cfg.ooc.dir = root / ("ht" + std::to_string(threads));
+    cfg.ooc.working_set = 3;
+    cfg.fault_plan.kill(1, /*before_cluster=*/true)
+        .kill(5, /*before_cluster=*/false);
+    const auto result = mc::MrScan(cfg).run(points);
+    const std::string context =
+        "ooc kills, host_threads " + std::to_string(threads);
+
+    EXPECT_EQ(result.fault.leaves_recovered, 2u) << context;
+    EXPECT_TRUE(result.output.empty()) << context;
+    EXPECT_EQ(result.output_records, baseline.output.size()) << context;
+    EXPECT_TRUE(read_labeled(result.output_path) == baseline.output)
+        << context << ": streamed records differ from the resident run";
+    EXPECT_EQ(result.cluster_count, baseline.cluster_count) << context;
+    EXPECT_EQ(result.merges_detected, baseline.merges_detected) << context;
+    EXPECT_DOUBLE_EQ(result.sim.sweep, baseline.sim.sweep) << context;
+  }
 
   fs::remove_all(root);
 }

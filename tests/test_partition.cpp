@@ -1,17 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <numeric>
 #include <set>
+#include <span>
 #include <unordered_set>
 
 #include "data/synthetic.hpp"
 #include "data/twitter.hpp"
 #include "geometry/rep_points.hpp"
 #include "index/grid.hpp"
+#include "io/mapped_segment.hpp"
 #include "partition/distributed.hpp"
 #include "partition/materialize.hpp"
 #include "partition/partitioner.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mg = mrscan::geom;
 namespace mi = mrscan::index;
@@ -36,6 +42,15 @@ struct TestData {
         geometry{mg::bbox_of(points).min_x, mg::bbox_of(points).min_y, eps},
         hist(geometry, points) {}
 };
+
+std::vector<mrscan::io::Segment> materialize_all(
+    const mp::PartitionPlan& plan, const mi::Grid& grid,
+    std::span<const mg::Point> points,
+    const mp::MaterializeConfig& config = {}) {
+  mrscan::util::ThreadPool pool(1);
+  return mp::materialize_partitions(plan, grid, points, pool, config)
+      .segments;
+}
 
 }  // namespace
 
@@ -184,7 +199,7 @@ TEST(Materialize, SegmentsContainOwnedAndShadowPoints) {
   const auto plan = mp::plan_partitions(
       s.hist, s.geometry, mp::PartitionerConfig{4, 4, true, 1.075});
   const mi::Grid grid(s.geometry, s.points);
-  const auto segments = mp::materialize_partitions(plan, grid, s.points);
+  const auto segments = materialize_all(plan, grid, s.points);
   ASSERT_EQ(segments.size(), plan.part_count());
 
   std::size_t total_owned = 0;
@@ -209,7 +224,7 @@ TEST(Materialize, ShadowPointsCompleteTheEpsNeighborhood) {
   const auto plan = mp::plan_partitions(
       s.hist, s.geometry, mp::PartitionerConfig{4, 4, true, 1.075});
   const mi::Grid grid(s.geometry, s.points);
-  const auto segments = mp::materialize_partitions(plan, grid, s.points);
+  const auto segments = materialize_all(plan, grid, s.points);
 
   for (const auto& seg : segments) {
     std::unordered_set<std::uint64_t> present;
@@ -231,10 +246,10 @@ TEST(Materialize, ShadowRepOptimisationShrinksDenseShadowCells) {
   const auto plan = mp::plan_partitions(
       s.hist, s.geometry, mp::PartitionerConfig{8, 4, true, 1.075});
   const mi::Grid grid(s.geometry, s.points);
-  const auto full = mp::materialize_partitions(plan, grid, s.points);
+  const auto full = materialize_all(plan, grid, s.points);
   mp::MaterializeConfig opt;
   opt.shadow_rep_threshold = 32;
-  const auto reduced = mp::materialize_partitions(plan, grid, s.points, opt);
+  const auto reduced = materialize_all(plan, grid, s.points, opt);
 
   std::size_t full_shadow = 0, reduced_shadow = 0;
   for (std::size_t i = 0; i < full.size(); ++i) {
@@ -303,6 +318,61 @@ TEST(DistributedPartitioner, ProducesSamePlanAsSerial) {
               serial.parts[pi].shadow_points);
   }
   ASSERT_EQ(result.segments.size(), serial.part_count());
+}
+
+TEST(DistributedPartitioner, OneMaterializeLoopForAnyThreadsAndSpooling) {
+  // Each part writes only its own slot, so the segments are the same for
+  // any worker count, and a spooled part's file decodes to exactly the
+  // segment a resident run keeps.
+  namespace fs = std::filesystem;
+  TestData s(twitter_points(20000), 0.1);
+  mp::DistributedPartitionerConfig config;
+  config.eps = 0.1;
+  config.planner = mp::PartitionerConfig{12, 4, true, 1.075};
+  config.partition_nodes = 4;
+  config.materialize.shadow_rep_threshold = 32;
+  const mrscan::sim::TitanParams titan;
+
+  config.host_threads = 1;
+  const auto one = mp::run_distributed_partitioner(s.points, config, titan);
+  config.host_threads = 4;
+  const auto four = mp::run_distributed_partitioner(s.points, config, titan);
+  ASSERT_GT(one.segments.size(), 4u);
+  ASSERT_EQ(one.segments.size(), one.segment_counts.size());
+  ASSERT_EQ(four.segments.size(), one.segments.size());
+  ASSERT_EQ(four.segment_counts.size(), one.segment_counts.size());
+  for (std::size_t pi = 0; pi < one.segments.size(); ++pi) {
+    EXPECT_EQ(four.segments[pi].owned, one.segments[pi].owned) << pi;
+    EXPECT_EQ(four.segments[pi].shadow, one.segments[pi].shadow) << pi;
+    EXPECT_EQ(one.segment_counts[pi].owned, one.segments[pi].owned.size());
+    EXPECT_EQ(one.segment_counts[pi].shadow, one.segments[pi].shadow.size());
+    EXPECT_EQ(four.segment_counts[pi].owned, one.segment_counts[pi].owned);
+    EXPECT_EQ(four.segment_counts[pi].shadow, one.segment_counts[pi].shadow);
+  }
+
+  const fs::path dir = fs::temp_directory_path() /
+                       ("mrscan_materialize_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  config.spool_dir = dir;
+  const auto spooled =
+      mp::run_distributed_partitioner(s.points, config, titan);
+  EXPECT_TRUE(spooled.segments.empty());
+  ASSERT_EQ(spooled.segment_counts.size(), one.segments.size());
+  for (std::size_t pi = 0; pi < one.segments.size(); ++pi) {
+    const mrscan::io::MappedSegment mapped(
+        mrscan::io::segment_file_path(dir, pi));
+    mg::PointSet expected = one.segments[pi].owned;
+    expected.insert(expected.end(), one.segments[pi].shadow.begin(),
+                    one.segments[pi].shadow.end());
+    EXPECT_EQ(mapped.owned_count(), one.segments[pi].owned.size()) << pi;
+    EXPECT_EQ(mapped.decode_all(), expected) << pi;
+    EXPECT_EQ(spooled.segment_counts[pi].owned,
+              one.segment_counts[pi].owned);
+    EXPECT_EQ(spooled.segment_counts[pi].shadow,
+              one.segment_counts[pi].shadow);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(DistributedPartitioner, TimesBreakdownIsPopulated) {

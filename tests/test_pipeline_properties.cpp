@@ -14,6 +14,7 @@
 #include "partition/materialize.hpp"
 #include "partition/partitioner.hpp"
 #include "quality/dbdc.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mg = mrscan::geom;
 namespace md = mrscan::dbscan;
@@ -133,7 +134,9 @@ TEST_P(PartitionerSweep, PlanIsInternallyConsistent) {
 
 TEST_P(PartitionerSweep, NeighborhoodsAreCompleteWithinPartitions) {
   const mrscan::index::Grid grid(geometry_, points_);
-  const auto segments = mp::materialize_partitions(plan_, grid, points_);
+  mrscan::util::ThreadPool pool(1);
+  const auto segments =
+      mp::materialize_partitions(plan_, grid, points_, pool).segments;
   // Sampled correctness check of §3.1.1: every owned point's full
   // Eps-neighbourhood is present in owned + shadow.
   const mrscan::index::KDTree tree(points_,

@@ -235,10 +235,62 @@ TEST(ServeLifecycle, ScriptRejectsOutOfRangeCoordinates) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.epochs, 1u);
   EXPECT_EQ(out.str(),
-            "epoch 1 ok points=2 clusters=1 dirty=1 recluster=2\n"
+            "epoch 1 ok points=2 clusters=1 dirty=1 recluster=2 "
+            "rejected=2\n"
             "query 1 -> unknown\n"
             "query 3 -> 0\n");
   EXPECT_EQ(service.metrics().counter_value(names::kServeRejected), 2u);
+}
+
+TEST(ServeLifecycle, ScriptEpochLineCountsEachEpochsRejectedInserts) {
+  ms::ClusterService service(make_config(1.0, 2));
+  std::istringstream in(
+      "insert 1 1e308 0\n"
+      "insert 2 0 -1e308\n"
+      "insert 3 0.1 0.1\n"
+      "epoch\n"
+      "insert 4 0.2 0.1\n"
+      "epoch\n");
+  std::ostringstream out;
+  const auto result = ms::run_script(service, in, out);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.epochs, 2u);
+  std::istringstream lines(out.str());
+  std::string first, second;
+  ASSERT_TRUE(std::getline(lines, first));
+  ASSERT_TRUE(std::getline(lines, second));
+  EXPECT_TRUE(first.ends_with(" rejected=2")) << first;
+  EXPECT_TRUE(second.ends_with(" rejected=0")) << second;
+}
+
+TEST(ServeLifecycle, ScriptFailsOnAnUnparseableWeight) {
+  for (const char* junk : {"abc", "1.5x", "1e99", "-"}) {
+    ms::ClusterService service(make_config(1.0, 2));
+    std::istringstream in(std::string("insert 1 0 0 2.5\n"
+                                      "insert 2 0.1 0\n"
+                                      "insert 3 0.2 0 ") +
+                          junk + "\nepoch\n");
+    std::ostringstream out;
+    const auto result = ms::run_script(service, in, out);
+    EXPECT_FALSE(result.ok) << junk;
+    EXPECT_TRUE(result.error.starts_with("3: ")) << result.error;
+    EXPECT_NE(result.error.find(junk), std::string::npos) << result.error;
+    EXPECT_EQ(result.epochs, 0u) << junk;
+  }
+
+  // A missing weight still defaults to 1; a parsed one is kept.
+  ms::ClusterService service(make_config(1.0, 2));
+  std::istringstream in(
+      "insert 1 0 0 2.5\n"
+      "insert 2 0.1 0\n"
+      "epoch\n"
+      "stats 0\n");
+  std::ostringstream out;
+  const auto result = ms::run_script(service, in, out);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_NE(out.str().find("stats 0 -> size=2 core=2 weight=3.5\n"),
+            std::string::npos)
+      << out.str();
 }
 
 // ---- incremental ≡ cold ----
