@@ -47,15 +47,16 @@ void VirtualDevice::account_launch(
   stats_.blocks_executed += block_ops.size();
 
   // Greedy list scheduling of blocks onto SMX slots, in launch order: each
-  // block goes to the earliest-free slot. Kernel time = slowest slot.
-  std::vector<double> slots(spec_.sm_count, 0.0);
+  // block goes to the earliest-free slot. Kernel time = slowest slot. A
+  // block with no ops is skipped: adding 0.0 leaves every slot as it was.
+  slots_.assign(spec_.sm_count, 0.0);
   for (const std::uint64_t ops : block_ops) {
+    if (ops == 0) continue;
     stats_.total_ops += ops;
-    auto slot = std::min_element(slots.begin(), slots.end());
+    auto slot = std::min_element(slots_.begin(), slots_.end());
     *slot += static_cast<double>(ops) / spec_.block_op_rate;
   }
-  const double busy =
-      slots.empty() ? 0.0 : *std::max_element(slots.begin(), slots.end());
+  const double busy = *std::max_element(slots_.begin(), slots_.end());
   stats_.kernel_seconds += spec_.kernel_launch_overhead_s + busy;
 }
 

@@ -102,6 +102,7 @@ class VirtualDevice {
  private:
   DeviceSpec spec_;
   DeviceStats stats_;
+  std::vector<double> slots_;  // account_launch's per-SMX busy time
 };
 
 }  // namespace mrscan::gpu

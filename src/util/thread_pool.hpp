@@ -63,10 +63,14 @@ class ThreadPool {
   /// (a throwing run rethrows the first and counts the rest here).
   std::size_t dropped_exceptions() const;
 
-  /// Run fn(i) for i in [begin, end), blocking until done. Work is split
-  /// into contiguous chunks, one per worker. If fn throws, the remaining
-  /// indices of other chunks still run and the first exception is
-  /// rethrown here after the range completes.
+  /// Run fn(i) for i in [begin, end), blocking until done. Each worker
+  /// claims the next unclaimed index from a shared counter, so indices of
+  /// uneven cost balance across workers and a slow one holds back no
+  /// other; with one worker the indices run in order on that worker.
+  /// Which worker runs an index is unspecified, so fn(i) must write only
+  /// state owned by i. If fn throws, every other index still runs; the
+  /// first exception is rethrown here after the range completes and any
+  /// later ones count in dropped_exceptions().
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

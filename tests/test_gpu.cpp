@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "data/synthetic.hpp"
 #include "data/twitter.hpp"
@@ -80,6 +82,43 @@ TEST(VirtualDevice, StragglerBlockDominatesKernelTime) {
   // load-imbalance effect dense boxes exist to fix.
   device.account_launch({10000, 1000, 1000, 1000});
   EXPECT_NEAR(device.stats().kernel_seconds, 10.0, 1e-9);
+}
+
+TEST(VirtualDevice, AccountLaunchMatchesTheGreedyFormulaBitForBit) {
+  // The reference is the list scheduler with every block placed, zero
+  // blocks included; account_launch skips those, which must change no
+  // bit of kernel_seconds, total_ops or blocks_executed.
+  gpu::DeviceSpec spec;
+  spec.sm_count = 5;
+  spec.block_op_rate = 1.3e3;
+  gpu::VirtualDevice device(spec);
+  double kernel_seconds = 0.0;
+  std::uint64_t total_ops = 0;
+  std::uint64_t blocks_executed = 0;
+  mrscan::util::Rng rng(17);
+  for (int launch = 0; launch < 200; ++launch) {
+    std::vector<std::uint64_t> block_ops(rng.next_below(40));
+    for (auto& ops : block_ops) {
+      // Four blocks in five are idle on average, as in a draining pass 2.
+      ops = rng.next_below(5) != 0 ? 0 : 1 + rng.next_below(5000);
+    }
+    device.account_launch(block_ops);
+
+    std::vector<double> slots(spec.sm_count, 0.0);
+    for (const std::uint64_t ops : block_ops) {
+      total_ops += ops;
+      auto slot = std::min_element(slots.begin(), slots.end());
+      *slot += static_cast<double>(ops) / spec.block_op_rate;
+    }
+    kernel_seconds += spec.kernel_launch_overhead_s +
+                      *std::max_element(slots.begin(), slots.end());
+    blocks_executed += block_ops.size();
+    ASSERT_EQ(device.stats().kernel_seconds, kernel_seconds)
+        << "launch " << launch;
+  }
+  EXPECT_EQ(device.stats().total_ops, total_ops);
+  EXPECT_EQ(device.stats().blocks_executed, blocks_executed);
+  EXPECT_EQ(device.stats().kernel_launches, 200u);
 }
 
 TEST(DenseBox, DetectsDenseLeafAndCoversPoints) {

@@ -315,6 +315,200 @@ TEST(KDTreeAdversarial, BatchedApisMatchSingleQueries) {
       });
 }
 
+namespace {
+
+/// Checks every leaf-kernel query of `tree` at (q, r) against a plain
+/// leaf-order scan: the leaves with box.dist2_to(q) <= r2 in the visitor's
+/// order, each point tested with `dx*dx + dy*dy <= r2` and charged one op.
+/// `max_leaf` sizes the at_least = leaf size + 1 case.
+void expect_scans_match_leaf_order_oracle(const mg::PointSet& pts,
+                                          const mi::KDTree& tree,
+                                          const mg::Point& q, double r,
+                                          std::size_t max_leaf) {
+  SCOPED_TRACE(testing::Message() << "q=(" << q.x << ", " << q.y
+                                  << ") r=" << r);
+  mi::QueryScratch scratch;
+  const double r2 = r * r;
+  const auto leaves = tree.leaves();
+  const auto order = tree.order();
+
+  // The visitor walks exactly the leaves within r, each once.
+  std::vector<std::uint32_t> walk;
+  tree.for_each_leaf_in_radius(q, r, scratch, [&](std::uint32_t leaf_id) {
+    walk.push_back(leaf_id);
+    return true;
+  });
+  std::set<std::uint32_t> within;
+  for (std::uint32_t l = 0; l < leaves.size(); ++l) {
+    if (leaves[l].box.dist2_to(q) <= r2) within.insert(l);
+  }
+  EXPECT_EQ(walk.size(), within.size());
+  EXPECT_EQ(std::set<std::uint32_t>(walk.begin(), walk.end()), within);
+
+  // A keep mask in leaf order: drop every third original index.
+  std::vector<std::uint8_t> keep(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) keep[i] = order[i] % 3 != 0;
+
+  std::vector<std::uint32_t> hits;
+  std::vector<std::uint64_t> ops_at_hit;  // ops spent when hit k was found
+  std::uint64_t ops = 0;
+  for (const std::uint32_t leaf_id : walk) {
+    const auto& leaf = leaves[leaf_id];
+    std::vector<std::uint32_t> leaf_hits;
+    std::vector<std::uint32_t> kept_hits;
+    for (std::uint32_t i = leaf.begin; i < leaf.end; ++i) {
+      ++ops;
+      const std::uint32_t idx = order[i];
+      const double dx = q.x - pts[idx].x;
+      const double dy = q.y - pts[idx].y;
+      if (dx * dx + dy * dy <= r2) {
+        hits.push_back(idx);
+        ops_at_hit.push_back(ops);
+        leaf_hits.push_back(idx);
+        if (keep[i]) kept_hits.push_back(idx);
+      }
+    }
+    EXPECT_EQ(tree.count_in_leaf(leaf, q, r2), leaf_hits.size());
+    if (tree.leaf_within(leaf, q, r2)) {
+      EXPECT_EQ(leaf_hits.size(), leaf.size()) << "contained leaf " << leaf_id;
+    }
+    const auto all = tree.leaf_hits(leaf, q, r2, nullptr, scratch);
+    EXPECT_EQ(std::vector<std::uint32_t>(all.begin(), all.end()), leaf_hits);
+    const auto kept = tree.leaf_hits(leaf, q, r2, keep.data(), scratch);
+    EXPECT_EQ(std::vector<std::uint32_t>(kept.begin(), kept.end()),
+              kept_hits);
+  }
+  EXPECT_EQ(std::set<std::uint32_t>(hits.begin(), hits.end()),
+            brute_radius(pts, q, r));
+
+  std::uint64_t query_ops = 0;
+  const auto got = tree.radius_query(q, r, scratch, &query_ops);
+  EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), hits);
+  EXPECT_EQ(query_ops, ops);
+
+  const std::size_t mid = std::max<std::size_t>(2, hits.size() / 2);
+  for (const std::size_t at_least : {std::size_t{0}, std::size_t{1}, mid,
+                                     max_leaf + 1}) {
+    const bool early = at_least != 0 && at_least <= hits.size();
+    std::uint64_t count_ops = 0;
+    EXPECT_EQ(tree.count_in_radius(q, r, scratch, at_least, &count_ops),
+              early ? at_least : hits.size())
+        << "at_least=" << at_least;
+    EXPECT_EQ(count_ops, early ? ops_at_hit[at_least - 1] : ops)
+        << "at_least=" << at_least;
+  }
+}
+
+mg::PointSet shifted(mg::PointSet pts, double dx, double dy) {
+  for (auto& p : pts) {
+    p.x += dx;
+    p.y += dy;
+  }
+  return pts;
+}
+
+}  // namespace
+
+TEST(KDTreeExactness, PointsOnTheEpsCircle) {
+  // The twelve lattice points at distance exactly 5 from the origin, each
+  // with a few dyadic points just inside it, plus points a hair outside.
+  mg::PointSet pts;
+  const std::int32_t lattice[12][2] = {{3, 4},  {4, 3},   {-3, 4}, {-4, 3},
+                                       {3, -4}, {4, -3},  {-3, -4},
+                                       {-4, -3}, {5, 0},  {-5, 0}, {0, 5},
+                                       {0, -5}};
+  for (const auto& xy : lattice) {
+    const double x = xy[0];
+    const double y = xy[1];
+    const double sx = x > 0 ? -0.25 : 0.25;
+    const double sy = y > 0 ? -0.25 : 0.25;
+    for (const auto& [ox, oy] : {std::pair{0.0, 0.0}, std::pair{sx, 0.0},
+                                 std::pair{0.0, sy}, std::pair{sx, sy}}) {
+      pts.push_back(mg::Point{pts.size(), x + ox, y + oy, 1.0f});
+    }
+    pts.push_back(mg::Point{pts.size(), std::nextafter(x, 2 * x),
+                            std::nextafter(y, 2 * y), 1.0f});
+  }
+  for (const double offset : {0.0, -7.5}) {
+    const auto set = shifted(pts, offset, offset * 0.3);
+    const mg::Point origin{0, offset, offset * 0.3, 1.0f};
+    for (const std::size_t max_leaf : {std::size_t{4}, std::size_t{64}}) {
+      mi::KDTree tree(set, mi::KDTreeConfig{max_leaf, 0.0});
+      expect_scans_match_leaf_order_oracle(set, tree, origin, 5.0, max_leaf);
+      expect_scans_match_leaf_order_oracle(set, tree, origin, 4.75,
+                                           max_leaf);
+      for (const auto& p : set) {
+        expect_scans_match_leaf_order_oracle(set, tree, p, 1.0, max_leaf);
+      }
+    }
+  }
+}
+
+TEST(KDTreeExactness, FarCornerExactlyOnTheRadius) {
+  // No point sits on the box's far corner (3, 4), but the corner is at
+  // exactly r2 = 25 from the origin: the leaf is contained, every point a
+  // hit. Mirrored copies put the same box in every quadrant, and a second
+  // box has its far corner one ulp outside.
+  const mg::PointSet cluster{{0, 3.0, 3.5, 1.0f},
+                             {1, 2.5, 4.0, 1.0f},
+                             {2, 2.75, 3.75, 1.0f}};
+  {
+    mi::KDTree tree(cluster, mi::KDTreeConfig{64, 0.0});
+    ASSERT_EQ(tree.leaves().size(), 1u);
+    const mg::Point origin{0, 0.0, 0.0, 1.0f};
+    EXPECT_TRUE(tree.leaf_within(tree.leaves()[0], origin, 25.0));
+    EXPECT_FALSE(tree.leaf_within(tree.leaves()[0], origin,
+                                  std::nextafter(25.0, 0.0)));
+    expect_scans_match_leaf_order_oracle(cluster, tree, origin, 5.0, 64);
+  }
+  mg::PointSet pts;
+  for (const double mx : {1.0, -1.0}) {
+    for (const double my : {1.0, -1.0}) {
+      for (const auto& p : cluster) {
+        pts.push_back(mg::Point{pts.size(), mx * p.x, my * p.y, 1.0f});
+      }
+      pts.push_back(mg::Point{pts.size(), mx * 0.5,
+                              my * std::nextafter(4.0, 5.0), 1.0f});
+    }
+  }
+  for (const double offset : {0.0, -3.25}) {
+    const auto set = shifted(pts, offset, -offset);
+    const mg::Point origin{0, offset, -offset, 1.0f};
+    for (const std::size_t max_leaf : {std::size_t{1}, std::size_t{3},
+                                       std::size_t{64}}) {
+      mi::KDTree tree(set, mi::KDTreeConfig{max_leaf, 0.0});
+      expect_scans_match_leaf_order_oracle(set, tree, origin, 5.0, max_leaf);
+    }
+  }
+}
+
+TEST(KDTreeExactness, LargeOffsetsRoundTheSameWay) {
+  // Coordinates near 1e6 carry about 1e-10 of resolution, so differences
+  // of nearby points are rounded: the contained-leaf shortcut must agree
+  // with the per-point test wherever rounding decides a hit.
+  const double base = 1e6 + 1e-9;
+  mg::PointSet pts;
+  for (int i = -6; i <= 6; ++i) {
+    for (int j = -6; j <= 6; ++j) {
+      pts.push_back(mg::Point{pts.size(), base + i * 2.5e-10,
+                              base + j * 3e-10, 1.0f});
+    }
+  }
+  mrscan::util::Rng rng(71);
+  for (const std::size_t max_leaf : {std::size_t{4}, std::size_t{16}}) {
+    mi::KDTree tree(pts, mi::KDTreeConfig{max_leaf, 0.0});
+    for (int trial = 0; trial < 60; ++trial) {
+      const mg::Point q{0, base + rng.uniform(-2e-9, 2e-9),
+                        base + rng.uniform(-2e-9, 2e-9), 1.0f};
+      expect_scans_match_leaf_order_oracle(
+          pts, tree, q, rng.uniform(2e-10, 2e-9), max_leaf);
+    }
+    for (const auto& p : pts) {
+      expect_scans_match_leaf_order_oracle(pts, tree, p, 6e-10, max_leaf);
+    }
+  }
+}
+
 TEST(CellHistogram, CountsMatchGrid) {
   const auto pts = random_points(700, 12);
   const mg::GridGeometry g{0.0, 0.0, 0.9};

@@ -127,6 +127,19 @@ TEST(QueryAlloc, KDTreeSteadyStateIsAllocationFree) {
         });
     checksum += tree.count_in_radius(pts[0], 0.4, scratch);
     checksum += tree.radius_query(pts[1], 0.4, scratch).size();
+    // The leaf walk with per-leaf hit lists, as the two-pass kernel's
+    // expansion and border passes run it.
+    for (const std::uint32_t q : queries) {
+      tree.for_each_leaf_in_radius(
+          pts[q], 0.4, scratch, [&](std::uint32_t leaf_id) {
+            for (const std::uint32_t nb : tree.leaf_hits(
+                     tree.leaves()[leaf_id], pts[q], 0.4 * 0.4, nullptr,
+                     scratch)) {
+              checksum += nb;
+            }
+            return true;
+          });
+    }
     return checksum;
   });
   EXPECT_EQ(delta, 0u);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -268,24 +271,52 @@ TEST(ThreadPool, FirstExceptionWinsAndWaitClearsIt) {
 }
 
 TEST(ThreadPool, ThrowingParallelForRethrowsAndCompletesRest) {
-  mu::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  EXPECT_THROW(
-      pool.parallel_for(0, hits.size(),
-                        [&](std::size_t i) {
-                          if (i == 37) throw std::runtime_error("boom");
-                          hits[i].fetch_add(1);
-                        }),
-      std::runtime_error);
-  // A throwing chunk abandons only its own remaining indices; every
-  // other chunk still covers its range.
-  int covered = 0;
-  for (const auto& h : hits) covered += h.load();
-  EXPECT_GE(covered, 1);
-  // Pool remains fully functional afterwards.
-  std::atomic<int> after{0};
-  pool.parallel_for(0, 10, [&](std::size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 10);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    mu::ThreadPool pool(workers);
+    std::vector<std::atomic<int>> hits(100);
+    EXPECT_THROW(
+        pool.parallel_for(0, hits.size(),
+                          [&](std::size_t i) {
+                            if (i == 37) throw std::runtime_error("boom");
+                            hits[i].fetch_add(1);
+                          }),
+        std::runtime_error);
+    // A throwing index abandons nothing: every other index ran, once.
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), i == 37 ? 0 : 1)
+          << "index " << i << " with " << workers << " workers";
+    }
+    EXPECT_EQ(pool.dropped_exceptions(), 0u);
+    // Pool remains fully functional afterwards.
+    std::atomic<int> after{0};
+    pool.parallel_for(0, 10, [&](std::size_t) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 10);
+  }
+}
+
+TEST(ThreadPool, SlowIndexDoesNotHoldBackTheRest) {
+  // Index 0 waits for indices 1..N-1 to finish. Workers that claim the
+  // next free index finish them on the other worker; a fixed split would
+  // queue 1..N/2-1 behind index 0, so the bounded wait times out and the
+  // test fails instead of hanging.
+  mu::ThreadPool pool(2);
+  constexpr std::size_t kN = 8;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t finished = 0;
+  bool saw_all = false;
+  pool.parallel_for(0, kN, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (i == 0) {
+      saw_all = cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return finished == kN - 1; });
+    } else {
+      ++finished;
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(saw_all);
+  EXPECT_EQ(finished, kN - 1);
 }
 
 TEST(ThreadPool, DroppedExceptionsAreCountedNotSwallowed) {
